@@ -18,7 +18,7 @@ import numpy as np
 from dcrobot.network.state import MAINTENANCE_CODE
 from dcrobot.traffic.flows import sample_sizes
 from dcrobot.traffic.patterns import UniformPattern
-from dcrobot.traffic.state import TrafficState
+from dcrobot.traffic.state import TrafficState, WindowResult
 
 
 @dataclasses.dataclass
@@ -34,6 +34,29 @@ class WindowStats:
     congestion_lost_bytes: float
     #: Drains or in-progress physical work overlapped this window.
     maintenance_active: bool
+
+
+def window_stats(now: float, traffic: TrafficState,
+                 result: WindowResult) -> WindowStats:
+    """The log record of one window ``traffic`` just offered — shared
+    by the live driver and twin rollouts."""
+    samples = result.fct[result.routable]
+    p50 = p99 = float("nan")
+    if len(samples):
+        p50, p99 = (float(q) for q in np.percentile(samples, [50, 99]))
+    fs = traffic.fabric.state
+    maintenance = bool(traffic.drained_links) or bool(
+        (fs.state_code[:fs.n_links] == MAINTENANCE_CODE).any())
+    return WindowStats(
+        time=now,
+        flows=result.flows,
+        unroutable=result.unroutable,
+        p99_fct=p99,
+        p50_fct=p50,
+        offered_bytes=float(result.offered.sum()),
+        congestion_lost_bytes=float(
+            (result.offered * result.congestion).sum()),
+        maintenance_active=maintenance)
 
 
 class TrafficDriver:
@@ -95,25 +118,9 @@ class TrafficDriver:
         self._next_flow_id += count
         result = traffic.offer_window(src, dst, sizes, flow_ids,
                                       self.sample_seconds)
-        stats = WindowStats(
-            time=now,
-            flows=count,
-            unroutable=result.unroutable,
-            p99_fct=result.fct_percentile(99),
-            p50_fct=result.fct_percentile(50),
-            offered_bytes=float(result.offered.sum()),
-            congestion_lost_bytes=float(
-                (result.offered * result.congestion).sum()),
-            maintenance_active=self._maintenance_active())
+        stats = window_stats(now, traffic, result)
         self.windows.append(stats)
         return stats
-
-    def _maintenance_active(self) -> bool:
-        fs = self.traffic.fabric.state
-        if self.traffic.drained_links:
-            return True
-        return bool((fs.state_code[:fs.n_links]
-                     == MAINTENANCE_CODE).any())
 
     # -- reporting -----------------------------------------------------------
 

@@ -19,15 +19,21 @@ Three structural ideas make it fast without changing the physics:
   enumerated once per ``(src_class, dst_class)`` — interiors only —
   and endpoint members are substituted in, collapsing the per-pair
   cache of the object router to a per-class-pair cache.
-* **Generation-keyed invalidation.**  Instead of the object router's
-  manual ``invalidate()`` protocol, caches key on
-  ``FabricState.route_generation`` (bumped on structural changes and
-  on carrier-crossing state transitions) plus a local drain epoch.
-* **Unbuffered accumulation.**  Per-link offered bytes and flow counts
-  are accumulated with ``np.add.at`` from flow-major flattened hop
-  arrays, which performs the same float additions in the same order as
-  the legacy per-flow loop — so utilization totals agree bit for bit
-  with the :class:`~dcrobot.traffic.legacy.LegacyTrafficModel` oracle.
+* **Content-keyed routing memo.**  Paths depend only on the usable
+  simple adjacency, so the CSR adjacency, twin classes and class-pair
+  interiors are memoised by the adjacency's edge set rather than
+  discarded whenever ``FabricState.route_generation`` or the drain
+  epoch moves.  A drain/undrain or repair that returns to a known
+  adjacency re-enumerates nothing, and twin forks share the memo with
+  their parent (and with each other).  The memo is cleared by a
+  structural ``FabricState.generation`` bump and bounded to
+  :data:`ROUTING_MEMO_SIZE` adjacencies, evicted oldest first.
+* **In-order accumulation.**  Per-link offered bytes and flow counts
+  are accumulated with ``np.bincount`` from flow-major flattened hop
+  arrays; it adds weights in input order, so it performs the same
+  float additions in the same order as the legacy per-flow loop — and
+  utilization totals agree bit for bit with the
+  :class:`~dcrobot.traffic.legacy.LegacyTrafficModel` oracle.
 
 Path enumeration follows the shared lexicographic spec in
 :func:`dcrobot.traffic.routing.lexicographic_shortest_paths`; member
@@ -56,6 +62,10 @@ from dcrobot.traffic.latency import (
 )
 
 _NO_ROUTE = None
+
+#: Distinct usable adjacencies the routing memo keeps per structure
+#: generation; the oldest entry is evicted first.
+ROUTING_MEMO_SIZE = 64
 
 
 @dataclasses.dataclass
@@ -158,11 +168,13 @@ class TrafficState:
         (structure is only re-read if the twin's generation moves).
         The fork shares every immutable routing artifact with the
         parent — structure snapshots, usable adjacency, twin classes,
-        and the expensive per-class-pair path-interior cache — and
-        resets only the loss-dependent member resolution, which is
-        rebuilt lazily per side.  Cumulative accounting columns start
-        at zero on the twin (they join the *forked* state's consumer
-        column list, so the parent's accounting is untouched).
+        the per-class-pair path-interior cache, and the routing memo
+        itself, so paths any side has enumerated for an adjacency are
+        reused by every other — and resets only the loss-dependent
+        member resolution, which is rebuilt lazily per side.
+        Cumulative accounting columns start at zero on the twin (they
+        join the *forked* state's consumer column list, so the
+        parent's accounting is untouched).
         """
         self._refresh()
         twin = TrafficState.__new__(TrafficState)
@@ -193,6 +205,7 @@ class TrafficState:
         twin._lengths_ext = self._lengths_ext
         twin._endpoint_nodes = self._endpoint_nodes
         twin._structure_gen = self._structure_gen
+        twin._routing_memo = self._routing_memo
         # Routing artifacts (each side replaces, never mutates, these
         # on its own rebuild; cache fills into the shared interiors
         # dict are value-identical on both sides).
@@ -244,10 +257,14 @@ class TrafficState:
             dtype=np.int64)
         self._structure_gen = fs.generation
         self._route_key = None
+        #: Usable edge-set bytes -> (indptr, indices, class_of,
+        #: class_interiors); node ints are only meaningful within one
+        #: structure generation, so a new generation starts empty.
+        self._routing_memo: Dict[bytes, tuple] = {}
 
     def _rebuild_routing(self) -> None:
-        """Usable-adjacency, twin classes, and cleared path caches (per
-        route_generation + drain epoch)."""
+        """Usable mask, then adjacency, twin classes and path caches
+        from the memo (per route_generation + drain epoch)."""
         fs = self.fabric.state
         n = fs.n_links
         usable = fs.state_code[:n] <= FLAPPING_CODE
@@ -266,23 +283,33 @@ class TrafficState:
         heads = np.concatenate([u, v])
         tails = np.concatenate([v, u])
         edge_keys = np.unique(heads * self.n_nodes + tails)
+        memo = self._routing_memo
+        memo_key = edge_keys.tobytes()
+        entry = memo.get(memo_key)
+        if entry is None:
+            entry = self._build_adjacency(edge_keys)
+            if len(memo) >= ROUTING_MEMO_SIZE:
+                del memo[next(iter(memo))]
+            memo[memo_key] = entry
+        (self._adj_indptr, self._adj_indices, self._class_of,
+         self._class_interiors) = entry
+        self._reset_resolution()
+
+    def _build_adjacency(self, edge_keys: np.ndarray) -> tuple:
+        """CSR adjacency, twin classes and an empty interiors cache for
+        one usable edge set (``head * n_nodes + tail``, sorted)."""
         heads = edge_keys // self.n_nodes
         tails = edge_keys % self.n_nodes
         counts = np.bincount(heads, minlength=self.n_nodes)
-        self._adj_indptr = np.concatenate(
-            [[0], np.cumsum(counts)]).astype(np.int64)
-        self._adj_indices = tails
+        indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
         # Twin classes: identical usable-neighbor sets.
         signatures: Dict[tuple, int] = {}
         class_of = np.empty(self.n_nodes, dtype=np.int64)
         for node in range(self.n_nodes):
-            lo, hi = self._adj_indptr[node], self._adj_indptr[node + 1]
-            signature = tuple(self._adj_indices[lo:hi])
+            signature = tuple(tails[indptr[node]:indptr[node + 1]])
             class_of[node] = signatures.setdefault(
                 signature, len(signatures))
-        self._class_of = class_of
-        self._class_interiors: Dict = {}
-        self._reset_resolution()
+        return indptr, tails, class_of, {}
 
     def _reset_resolution(self) -> None:
         """Drop loss-dependent member-to-row resolution."""
@@ -508,15 +535,14 @@ class TrafficState:
         rows[~routable] = n  # dummy scratch slot
         hops = slot_hops[slots]
 
-        # Offered bytes + flow counts, flow-major so the unbuffered
-        # np.add.at performs the oracle's additions in its order.
+        # Offered bytes + flow counts, flow-major so bincount (which
+        # adds weights in input order) performs the oracle's additions
+        # in its order.
         width = rows.shape[1]
         flat = rows.ravel()
-        offered = np.zeros(n + 1)
-        np.add.at(offered, flat, np.repeat(sizes, width))
-        flow_counts = np.zeros(n + 1)
-        np.add.at(flow_counts, flat, 1.0)
-        offered = offered[:n]
+        offered = np.bincount(flat, weights=np.repeat(sizes, width),
+                              minlength=n + 1)[:n]
+        flow_counts = np.bincount(flat, minlength=n + 1)
         congestion = congestion_loss(offered, self._caps,
                                      window_seconds)
         loss = combined_loss(fs.loss_rate[:n], congestion)

@@ -9,8 +9,9 @@ columnar substrate:
   (copy-on-write — O(1) until the first write, and only the touched
   column splits);
 * ``TrafficState.fork()`` shares the routing structure and the
-  per-class-pair path-interior cache, resetting only loss-dependent
-  member resolution;
+  content-keyed routing memo (adjacency, twin classes and per-class-
+  pair path interiors), resetting only loss-dependent member
+  resolution;
 * a forked RNG substream keeps the twin's stochastic draws independent
   of — and reproducible against — the live world;
 * an optional journal snapshot (``controller.snapshot_state()`` from
@@ -35,7 +36,7 @@ import numpy as np
 
 from dcrobot.network.enums import LinkState
 from dcrobot.network.state import CODE_OF, STATE_OF, FabricState
-from dcrobot.traffic.driver import WindowStats
+from dcrobot.traffic.driver import WindowStats, window_stats
 from dcrobot.traffic.flows import sample_sizes
 from dcrobot.traffic.patterns import UniformPattern
 from dcrobot.traffic.state import TrafficState, WindowResult
@@ -291,29 +292,12 @@ class TwinWorld:
         self.next_flow_id += count
         result = self.traffic.offer_window(src, dst, sizes, flow_ids,
                                            self.sample_seconds)
-        self.windows.append(WindowStats(
-            time=self.now,
-            flows=count,
-            unroutable=result.unroutable,
-            p99_fct=result.fct_percentile(99),
-            p50_fct=result.fct_percentile(50),
-            offered_bytes=float(result.offered.sum()),
-            congestion_lost_bytes=float(
-                (result.offered * result.congestion).sum()),
-            maintenance_active=self._maintenance_active()))
+        self.windows.append(window_stats(self.now, self.traffic, result))
         return result
 
     def roll(self, windows: int) -> List[WindowResult]:
         """Advance ``windows`` traffic windows; returns their results."""
         return [self.offer_window() for _ in range(windows)]
-
-    def _maintenance_active(self) -> bool:
-        from dcrobot.network.state import MAINTENANCE_CODE
-        fs = self.state
-        if self.traffic is not None and self.traffic.drained_links:
-            return True
-        return bool((fs.state_code[:fs.n_links]
-                     == MAINTENANCE_CODE).any())
 
     # -- predictions ----------------------------------------------------------
 

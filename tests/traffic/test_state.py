@@ -1,11 +1,15 @@
 """Unit tests for the columnar traffic engine (S17)."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from dcrobot.network import LinkState, SwitchRole
 from dcrobot.topology import build_fattree
 from dcrobot.traffic import EcmpRouter, TrafficState, sample_sizes
+from dcrobot.traffic.state import ROUTING_MEMO_SIZE
+from dcrobot.twin import TwinFabric
 
 
 @pytest.fixture
@@ -128,6 +132,113 @@ def test_paths_match_object_router(traffic, topo, tors):
                 continue
             assert traffic.equal_cost_paths(src, dst) \
                 == router.equal_cost_paths(src, dst)
+
+
+# -- content-keyed routing memo -------------------------------------------
+
+
+@pytest.fixture
+def lex_calls(monkeypatch):
+    """Counts every path enumeration across all TrafficState instances."""
+    calls = []
+    enumerate_paths = TrafficState._lex_paths
+
+    def counting(self, src, dst):
+        calls.append((src, dst))
+        return enumerate_paths(self, src, dst)
+
+    monkeypatch.setattr(TrafficState, "_lex_paths", counting)
+    return calls
+
+
+def test_drain_cycle_enumerates_once_per_adjacency(
+        traffic, topo, tors, lex_calls):
+    src, dst = tors[0], tors[-1]
+    link = topo.fabric.links_of(src)[0]
+    full = traffic.equal_cost_paths(src, dst)
+    traffic.drain(link.id)
+    drained = traffic.equal_cost_paths(src, dst)
+    assert len(lex_calls) == 2
+    for _ in range(3):
+        traffic.undrain(link.id)
+        assert traffic.equal_cost_paths(src, dst) == full
+        traffic.drain(link.id)
+        assert traffic.equal_cost_paths(src, dst) == drained
+    assert len(lex_calls) == 2
+    assert len(traffic._routing_memo) == 2
+
+
+def test_fork_shares_the_routing_memo(traffic, topo, tors, lex_calls):
+    src, dst = tors[0], tors[-1]
+    link = topo.fabric.links_of(src)[0]
+    full = traffic.equal_cost_paths(src, dst)
+    child = topo.fabric.state.fork()
+    twin = traffic.fork(TwinFabric(topo.fabric, child))
+    assert twin._routing_memo is traffic._routing_memo
+    # The twin reuses the parent's enumeration...
+    assert twin.equal_cost_paths(src, dst) == full
+    assert len(lex_calls) == 1
+    # ...and the parent reuses the twin's.
+    twin.drain(link.id)
+    drained = twin.equal_cost_paths(src, dst)
+    assert len(lex_calls) == 2
+    traffic.drain(link.id)
+    assert traffic.equal_cost_paths(src, dst) == drained
+    assert len(lex_calls) == 2
+    child.cow_release()
+
+
+def test_memo_hit_paths_match_object_router(traffic, topo, tors,
+                                            lex_calls):
+    link = topo.fabric.links_of(tors[0])[0]
+    pairs = [(src, dst) for src in tors for dst in tors if src != dst]
+    calls_after = []
+    for now, state in enumerate(
+            (LinkState.DOWN, LinkState.UP, LinkState.DOWN)):
+        link.set_state(float(now), state)
+        router = EcmpRouter(topo.fabric)
+        for src, dst in pairs:
+            assert traffic.equal_cost_paths(src, dst) \
+                == router.equal_cost_paths(src, dst)
+        calls_after.append(len(lex_calls))
+    # The second DOWN pass was served from the memo entirely.
+    assert calls_after[2] == calls_after[1] > calls_after[0] > 0
+    assert len(traffic._routing_memo) == 2
+
+
+def test_structural_change_starts_a_fresh_memo(traffic, topo, tors,
+                                               lex_calls):
+    src, dst = tors[0], tors[-1]
+    traffic.equal_cost_paths(src, dst)
+    old_memo = traffic._routing_memo
+    uplink = topo.fabric.links_of(src)[0]
+    topo.fabric.disconnect(uplink.id)
+    paths = traffic.equal_cost_paths(src, dst)
+    assert traffic._routing_memo is not old_memo
+    assert len(traffic._routing_memo) == 1
+    assert len(lex_calls) == 2
+    assert paths == EcmpRouter(topo.fabric).equal_cost_paths(src, dst)
+
+
+def test_memo_is_bounded_oldest_first(traffic, topo, tors, lex_calls):
+    src, dst = tors[0], tors[-1]
+    traffic.equal_cost_paths(src, dst)
+    link_ids = list(topo.fabric.links)
+    drain_pairs = list(itertools.combinations(link_ids, 2))
+    assert len(drain_pairs) > ROUTING_MEMO_SIZE
+    for pair in drain_pairs[:ROUTING_MEMO_SIZE + 5]:
+        for link_id in pair:
+            traffic.drain(link_id)
+        traffic.equal_cost_paths(src, dst)
+        assert len(traffic._routing_memo) <= ROUTING_MEMO_SIZE
+        for link_id in pair:
+            traffic.undrain(link_id)
+    assert len(traffic._routing_memo) == ROUTING_MEMO_SIZE
+    # The undrained adjacency was the first entry, so it was evicted
+    # and must be enumerated again.
+    before = len(lex_calls)
+    traffic.equal_cost_paths(src, dst)
+    assert len(lex_calls) == before + 1
 
 
 # -- impact scoring ---------------------------------------------------------

@@ -40,10 +40,11 @@ class DustProcess:
         #: Per-cable dustiness multiplier (lognormal: most cables are
         #: clean-ish, a tail of hotspot cables collect dust fast).
         self._factor: Dict[str, float] = {}
-        #: Cleanable-link cache for :meth:`step_all`, keyed by the
-        #: fabric state's structural generation.
+        #: ``(cable_id, end_a, end_b)`` of every cleanable link in
+        #: insertion order, for :meth:`step_all`; keyed by the fabric
+        #: state's structural generation (a cable swap bumps it).
         self._cleanable_generation = -1
-        self._cleanable_links: list = []
+        self._cleanable_ends: list = []
 
     def factor_for(self, cable_id: str) -> float:
         """The cable's (lazily sampled) dust-exposure multiplier."""
@@ -77,9 +78,11 @@ class DustProcess:
         The RNG here cannot be batched bit-identically (``integers``
         uses Lemire rejection, whose draw count is data-dependent), so
         the loop body stays scalar and stream-identical to
-        :meth:`tick`; the win is skipping every non-cleanable link via
-        a cached, insertion-ordered candidate list instead of testing
-        ``cable.cleanable`` across the whole fleet each tick.
+        :meth:`tick`.  What it saves is overhead around the draws: the
+        non-cleanable links are skipped via a cached, insertion-ordered
+        list of ``(cable_id, end_a, end_b)``, the RNG methods are bound
+        once per tick, and each single-core deposit writes the face's
+        worst-core column through instead of re-reducing the face.
         """
         state = getattr(self.fabric, "state", None)
         if state is None:
@@ -89,20 +92,24 @@ class DustProcess:
             n = state.n_links
             rows = state.rows_in_insertion_order(
                 np.nonzero(state.cleanable[:n])[0])
-            self._cleanable_links = [state.links_by_row[row]
-                                     for row in rows]
+            cables = [state.links_by_row[row].cable for row in rows]
+            self._cleanable_ends = [(cable.id, cable.end_a, cable.end_b)
+                                    for cable in cables]
             self._cleanable_generation = state.generation
+        mean_rate = self.mean_rate_per_day
         fraction_of_day = self.tick_seconds / 86400.0
-        for link in self._cleanable_links:
-            cable = link.cable
-            amount = (self.mean_rate_per_day
-                      * self.factor_for(cable.id) * fraction_of_day
-                      * float(self.rng.uniform(0.5, 1.5)))
+        factor_for = self.factor_for
+        uniform = self.rng.uniform
+        integers = self.rng.integers
+        for cable_id, end_a, end_b in self._cleanable_ends:
+            amount = (mean_rate * factor_for(cable_id) * fraction_of_day
+                      * float(uniform(0.5, 1.5)))
             if amount <= 0:
                 continue
-            for end in (cable.end_a, cable.end_b):
-                core = int(self.rng.integers(end.core_count))
-                end.add_contamination(amount, cores=[core])
+            end_a.add_contamination(
+                amount, cores=[int(integers(end_a.core_count))])
+            end_b.add_contamination(
+                amount, cores=[int(integers(end_b.core_count))])
 
     def run(self, sim: Simulation):
         """Generator process: deposit dust on a fixed cadence."""

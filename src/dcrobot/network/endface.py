@@ -38,9 +38,11 @@ class EndFace:
         self.contamination = np.full(core_count, float(initial_contamination))
         self.scratched = np.zeros(core_count, dtype=bool)
         #: Columnar binding while this face is on a wired link:
-        #: ``(FabricState, "cable"|"recept", side)``.  Mutators call
-        #: :meth:`_push_mirror` so the per-link worst-contamination and
-        #: scratch columns stay current for the batch kernels.
+        #: ``(FabricState, "cable"|"recept", side)``.  Mutators keep the
+        #: per-link worst-contamination and scratch columns current for
+        #: the batch kernels: a per-core deposit can only raise the
+        #: worst core, so it writes the column through; every other
+        #: mutator recomputes both via :meth:`_push_mirror`.
         self._mirror = None
         self._row = -1
 
@@ -81,16 +83,36 @@ class EndFace:
 
     def add_contamination(self, amount: float,
                           cores: Optional[Sequence[int]] = None) -> None:
-        """Deposit dirt.  ``cores=None`` means all cores."""
+        """Deposit dirt.  ``cores=None`` means all cores.
+
+        A per-core deposit cannot touch scratches and only raises
+        levels, so while the worst-core column equals
+        ``contamination.max()`` (every mutator keeps it so) the new
+        worst is ``max(column, highest new level)`` — written through
+        without reducing the whole face.
+        """
         if amount < 0:
             raise ValueError(f"amount must be >= 0, got {amount}")
         if cores is None:
             self.contamination = np.minimum(self.contamination + amount, 1.0)
-        else:
-            for core in cores:
-                self.contamination[core] = min(
-                    self.contamination[core] + amount, 1.0)
-        self._push_mirror()
+            self._push_mirror()
+            return
+        contamination = self.contamination
+        highest = 0.0
+        for core in cores:
+            level = contamination[core] + amount
+            if level > 1.0:
+                level = 1.0
+            contamination[core] = level
+            if level > highest:
+                highest = level
+        mirror = self._mirror
+        if mirror is None:
+            return
+        fs, kind, side = mirror
+        column = fs.cable_end_worst if kind == "cable" else fs.recept_worst
+        if highest > column[side, self._row]:
+            column[side, self._row] = highest
 
     def scratch(self, core: int) -> None:
         """Permanently damage a core (only replacement fixes this)."""

@@ -274,17 +274,23 @@ class Fabric:
                 for link_id in self._links_of_node.get(node_id, [])]
 
     def link_of_cable(self, cable_id: str) -> Optional[Link]:
-        for link in self.links.values():
-            if link.cable.id == cable_id:
-                return link
-        return None
+        """The wired link carrying ``cable_id`` (None if retired/unknown).
+
+        O(1) through the columnar binding: a wired cable is bound to
+        its link's row, and ``add_link``/``remove_link``/``rebind_cable``
+        keep that binding current, so no separate index is needed.
+        """
+        return self._link_at_binding(self.cables.get(cable_id))
 
     def link_of_transceiver(self, unit_id: str) -> Optional[Link]:
-        for link in self.links.values():
-            if (link.transceiver_a.id == unit_id
-                    or link.transceiver_b.id == unit_id):
-                return link
-        return None
+        """The wired link holding ``unit_id`` (None if spare/unknown);
+        O(1) through the columnar binding, like :meth:`link_of_cable`."""
+        return self._link_at_binding(self.transceivers.get(unit_id))
+
+    def _link_at_binding(self, component) -> Optional[Link]:
+        if component is None or component._fs is not self.state:
+            return None
+        return self.state.links_by_row[component._row]
 
     def bundle_neighbor_links(self, link: Link) -> List[Link]:
         """Links whose cables share a tray bundle with ``link``'s cable."""

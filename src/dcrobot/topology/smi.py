@@ -277,7 +277,6 @@ class SmiTracker:
         clone._density_hist = Counter(self._density_hist)
         clone._wired_of_bundle = Counter(self._wired_of_bundle)
         clone._link_bundle = dict(self._link_bundle)
-        clone._link_of_cable = dict(self._link_of_cable)
         clone._cleanable = self._cleanable
         clone._models = Counter(self._models)
         clone._nonempty = self._nonempty
@@ -293,7 +292,6 @@ class SmiTracker:
         self._density_hist = Counter()
         self._wired_of_bundle = Counter()
         self._link_bundle = {}
-        self._link_of_cable = {}
         self._cleanable = 0
         self._models = Counter()
         for link in fabric.links.values():
@@ -377,7 +375,6 @@ class SmiTracker:
 
     def _add_link(self, link) -> None:
         cable = link.cable
-        self._link_of_cable[cable.id] = link
         bundle = self._registry.bundle_of(cable.id) \
             if self._registry is not None else None
         bundle_id = bundle.id if bundle is not None else None
@@ -395,7 +392,6 @@ class SmiTracker:
     def _remove_link(self, link) -> None:
         cable = link.cable
         bundle_id = self._link_bundle.pop(link.id, None)
-        self._link_of_cable.pop(cable.id, None)
         self._bump_density(self._link_density(bundle_id), -1)
         if bundle_id is not None:
             self._wired_of_bundle[bundle_id] -= 1
@@ -434,11 +430,9 @@ class SmiTracker:
             self._wired_of_bundle[old_bundle_id] -= 1
             if self._wired_of_bundle[old_bundle_id] == 0:
                 del self._wired_of_bundle[old_bundle_id]
-        self._link_of_cable.pop(old.id, None)
         new_bundle = self._registry.bundle_of(new.id)
         new_bundle_id = new_bundle.id if new_bundle is not None else None
         self._link_bundle[link.id] = new_bundle_id
-        self._link_of_cable[new.id] = link
         self._bump_density(self._link_density(new_bundle_id), 1)
         if new_bundle_id is not None:
             self._wired_of_bundle[new_bundle_id] += 1
@@ -457,7 +451,7 @@ class SmiTracker:
             if wired:
                 self._bump_density(density - 1, -wired)
                 self._bump_density(density, wired)
-            link = self._link_of_cable.get(cable_id)
+            link = self._topology.fabric.link_of_cable(cable_id)
             if link is not None:
                 self._bump_density(1, -1)
                 self._bump_density(density, 1)
@@ -467,7 +461,7 @@ class SmiTracker:
             density = self._registry.bundles[bundle_id].density
             if density == 0:
                 self._nonempty -= 1
-            link = self._link_of_cable.get(cable_id)
+            link = self._topology.fabric.link_of_cable(cable_id)
             if link is not None \
                     and self._link_bundle.get(link.id) == bundle_id:
                 self._bump_density(density + 1, -1)

@@ -1,0 +1,127 @@
+"""The per-link end-face columns always equal a recompute from the faces.
+
+Per-core deposits write the worst-core column through (``max(column,
+highest new level)``) instead of re-reducing the face; every other
+mutator recomputes.  Random call sequences on bound faces must keep
+``cable_end_worst``, ``cable_end_scratched`` and ``recept_worst``
+exactly equal to the ``EndFace`` arrays, and a deposit on the parent
+after a :meth:`FabricState.fork` must leave the fork's columns alone.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dcrobot.network import CableKind, Fabric, HallLayout, SwitchRole
+
+COLUMNS = ("cable_end_worst", "cable_end_scratched", "recept_worst")
+
+
+def make_fabric(seed, links=2):
+    layout = HallLayout(rows=1, racks_per_row=2, height_u=48)
+    fabric = Fabric(layout=layout, rng=np.random.default_rng(seed))
+    a, b = (fabric.add_switch(SwitchRole.TOR, radix=links,
+                              rack_id=layout.rack_at(0, col).id)
+            for col in range(2))
+    for _ in range(links):
+        fabric.connect(a.id, b.id, kind=CableKind.MPO)
+    return fabric
+
+
+def faces_of(link):
+    """(face, column, side) for every bound face of ``link``."""
+    cable = link.cable
+    return [(cable.end_a, "cable_end_worst", 0),
+            (cable.end_b, "cable_end_worst", 1),
+            (link.transceiver_a.receptacle, "recept_worst", 0),
+            (link.transceiver_b.receptacle, "recept_worst", 1)]
+
+
+def assert_columns_match_faces(fabric):
+    state = fabric.state
+    for link in fabric.links.values():
+        row = link._row
+        for face, column, side in faces_of(link):
+            assert getattr(state, column)[side, row] \
+                == face.contamination.max()
+            if column == "cable_end_worst":
+                assert state.cable_end_scratched[side, row] \
+                    == face.scratched.any()
+
+
+amounts = st.one_of(st.just(0.0), st.just(1.0),
+                    st.floats(min_value=0.0, max_value=1.5,
+                              allow_nan=False))
+deposit_one = st.tuples(st.just("core"), amounts,
+                        st.integers(min_value=0, max_value=15))
+deposit_many = st.tuples(st.just("cores"), amounts,
+                         st.lists(st.integers(min_value=0, max_value=15),
+                                  min_size=1, max_size=6))
+deposit_all = st.tuples(st.just("all"), amounts, st.just(None))
+other = st.tuples(st.sampled_from(("clean", "scratch", "replace",
+                                   "fork")),
+                  st.just(0.0), st.integers(min_value=0, max_value=15))
+calls = st.tuples(st.integers(min_value=0, max_value=7),
+                  st.one_of(deposit_one, deposit_many, deposit_all,
+                            other))
+
+
+@given(seed=st.integers(min_value=0, max_value=1000),
+       sequence=st.lists(calls, max_size=40))
+@settings(max_examples=150, deadline=None)
+def test_columns_equal_recompute_after_every_call(seed, sequence):
+    fabric = make_fabric(seed)
+    rng = np.random.default_rng(seed)
+    links = list(fabric.links.values())
+    forks = []
+    assert_columns_match_faces(fabric)
+    for target, (op, amount, arg) in sequence:
+        face, _column, _side = faces_of(links[target // 4 % len(links)])[
+            target % 4]
+        cores = face.core_count
+        if op == "core":
+            face.add_contamination(amount, cores=[arg % cores])
+        elif op == "cores":
+            face.add_contamination(amount,
+                                   cores=[core % cores for core in arg])
+        elif op == "all":
+            face.add_contamination(amount)
+        elif op == "clean":
+            face.clean(rng, wet=bool(arg % 2), smear_probability=0.3)
+        elif op == "scratch":
+            face.scratch(arg % cores)
+        elif op == "replace":
+            face.replace()
+        else:
+            child = fabric.state.fork()
+            forks.append((child, {name: np.array(getattr(child, name))
+                                  for name in COLUMNS}))
+        assert_columns_match_faces(fabric)
+        for child, frozen in forks:
+            for name in COLUMNS:
+                assert np.array_equal(getattr(child, name), frozen[name])
+    for child, _frozen in forks:
+        child.cow_release()
+
+
+def test_lower_deposit_on_another_core_keeps_the_worst():
+    fabric = make_fabric(0, links=1)
+    link = next(iter(fabric.links.values()))
+    face = link.cable.end_b
+    face.add_contamination(0.5, cores=[0])
+    face.add_contamination(0.1, cores=[1, 1])
+    assert fabric.state.cable_end_worst[1, link._row] == 0.5
+    assert_columns_match_faces(fabric)
+
+
+def test_parent_deposit_after_fork_leaves_fork_column():
+    fabric = make_fabric(0, links=1)
+    link = next(iter(fabric.links.values()))
+    child = fabric.state.fork()
+    link.cable.end_a.add_contamination(0.3, cores=[1])
+    link.transceiver_b.receptacle.add_contamination(0.2, cores=[0])
+    assert fabric.state.cable_end_worst[0, link._row] == 0.3
+    assert fabric.state.recept_worst[1, link._row] == 0.2
+    assert child.cable_end_worst[0, link._row] == 0.0
+    assert child.recept_worst[1, link._row] == 0.0
+    child.cow_release()

@@ -534,8 +534,7 @@ class MaintenanceController:
                     incident, "escalation ladder exhausted")
                 return
             action = self.ladder.next_action(link, history, sim.now)
-            if (self.resilience is not None
-                    and self._regresses(incident, action)):
+            if self._regresses(incident, action):
                 # The escalation window expired mid-incident and the
                 # ladder wants to walk back down; never regress within
                 # one incident — escalate to a human instead.

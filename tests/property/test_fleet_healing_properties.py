@@ -10,7 +10,7 @@ Two invariants must survive arbitrary robot-failure schedules:
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dcrobot.chaos import ChaosConfig
@@ -114,6 +114,10 @@ def test_done_fires_at_most_once_under_any_interleaving(steps):
        zombie=st.floats(min_value=0.0, max_value=0.5, allow_nan=False),
        lie=st.floats(min_value=0.0, max_value=0.3, allow_nan=False),
        seed=st.integers(min_value=0, max_value=10_000))
+# Both seeds once walked the naive controller back down the ladder
+# within one incident (replace-switchgear, then reseat).
+@example(die=0.0, zombie=0.0, lie=0.0, seed=675)
+@example(die=0.0, zombie=0.0, lie=0.0, seed=397)
 @settings(max_examples=4, deadline=None)
 def test_fencing_never_admits_a_zombie_in_whole_worlds(
         die, zombie, lie, seed):

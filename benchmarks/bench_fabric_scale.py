@@ -1,13 +1,17 @@
 """Bench E15 — hall-scale columnar control loop (§2, ROADMAP north star).
 
-This is the scale acceptance gate: the columnar kernels must beat the
-legacy per-link loops by >=5x on the k=16 fat-tree while producing
-field-for-field identical world summaries on the shared seed.
+This is the scale acceptance gate: at quick scale (2-day campaigns),
+the k=16 fat-tree (2048 links, L3 automation) must run within an
+absolute bound on wall-clock seconds per simulated day.
 """
 
 from conftest import run_once
 
 from dcrobot.experiments import e15_scale
+
+#: Measured 0.31-0.44 s per simulated day on a 2-vCPU VM; the per-link
+#: loops the kernels replaced took 8.8 s.
+MAX_K16_WALL_PER_SIM_DAY = 1.5
 
 
 def test_e15_fabric_scale(benchmark):
@@ -15,16 +19,10 @@ def test_e15_fabric_scale(benchmark):
     print()
     print(result.render())
 
-    speedups = dict(result.series)["speedup_vs_links"]
-    parity = dict(result.series)["parity_vs_links"]
-
-    # Every timed legacy/columnar pair must be bit-identical — the
-    # speedup is worthless if the physics drifted.
-    assert all(identical == 1.0 for _links, identical in parity)
-
-    # The k=16 fat-tree is the largest timed pair in quick mode; the
-    # acceptance bar is a 5x wall-clock win there.
-    largest_timed = max(speedups, key=lambda pair: pair[0])
-    assert largest_timed[1] >= 5.0, (
-        f"columnar speedup {largest_timed[1]:.1f}x at "
-        f"{largest_timed[0]} links, expected >= 5x")
+    per_day = dict(result.series)["wall_per_sim_day_vs_links"]
+    # The k=16 fat-tree is the largest fabric in quick mode.
+    links, seconds = max(per_day)
+    assert links == 2048
+    assert seconds <= MAX_K16_WALL_PER_SIM_DAY, (
+        f"{seconds:.2f}s of wall-clock per simulated day at {links} "
+        f"links, expected <= {MAX_K16_WALL_PER_SIM_DAY}s")

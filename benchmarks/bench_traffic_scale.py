@@ -1,10 +1,15 @@
-"""Bench S17 — columnar traffic engine vs the legacy per-flow loop.
+"""Bench S17 — columnar traffic engine at hall scale.
 
-The traffic-scale acceptance gate: :class:`TrafficState` must beat
-:class:`LegacyTrafficModel` by >=5x on the k=16 fat-tree (2048 links,
-128 ToR endpoints) while producing bit-identical per-flow FCTs and
-per-link utilization / congestion-loss totals on the shared seed.
+The traffic-scale acceptance gate: on the k=16 fat-tree (2048 links,
+128 ToR endpoints), :class:`TrafficState` must offer six 4000-flow
+windows within an absolute wall-clock bound while producing per-flow
+FCTs and per-link utilization / congestion-loss totals bit-identical
+to the per-flow oracle in ``tests/oracles/traffic.py`` on the shared
+seed.
 """
+
+import pathlib
+import sys
 
 import numpy as np
 from conftest import run_once
@@ -12,13 +17,18 @@ from conftest import run_once
 from dcrobot.topology.base import SwitchRole
 from dcrobot.topology.fattree import build_fattree
 from dcrobot.traffic.flows import sample_sizes
-from dcrobot.traffic.legacy import LegacyTrafficModel
 from dcrobot.traffic.state import TrafficState
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1]))
+from tests.oracles.traffic import LegacyTrafficModel  # noqa: E402
 
 K = 16
 WINDOWS = 6
 FLOWS_PER_WINDOW = 4000
 WINDOW_SECONDS = 60.0
+#: Wall-clock bound on the columnar windows: measured 0.55-1.12 s on a
+#: 2-vCPU VM, where the per-flow oracle took 11.7-14.6 s.
+MAX_COLUMNAR_SECONDS = 2.5
 
 
 def _windows(n_endpoints):
@@ -64,12 +74,11 @@ def _run_pair():
 def test_traffic_scale(benchmark):
     (fabric, columnar, legacy, columnar_results, legacy_results,
      columnar_seconds, legacy_seconds) = run_once(benchmark, _run_pair)
-    speedup = legacy_seconds / columnar_seconds
     print()
     print(f"k={K} fat-tree, {fabric.state.n_links} links, "
           f"{WINDOWS}x{FLOWS_PER_WINDOW} flows: "
           f"columnar {columnar_seconds:.3f}s, "
-          f"legacy {legacy_seconds:.3f}s, speedup {speedup:.1f}x")
+          f"per-flow oracle {legacy_seconds:.3f}s")
 
     # Bit-identical per-flow completion times, window for window.
     for fast, slow in zip(columnar_results, legacy_results):
@@ -89,5 +98,6 @@ def test_traffic_scale(benchmark):
     n = fabric.state.n_links
     assert float(columnar.util_bytes.values[:n][~touched].sum()) == 0.0
 
-    assert speedup >= 5.0, (
-        f"columnar speedup {speedup:.1f}x at k={K}, expected >= 5x")
+    assert columnar_seconds <= MAX_COLUMNAR_SECONDS, (
+        f"columnar windows took {columnar_seconds:.2f}s at k={K}, "
+        f"expected <= {MAX_COLUMNAR_SECONDS}s")

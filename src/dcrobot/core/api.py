@@ -55,21 +55,13 @@ class MaintenanceStatus:
 
 
 def link_state_counts(fabric) -> tuple:
-    """``(links_down, links_total)`` served from the columnar state.
-
-    One vectorized comparison over the ``state_code`` array replaces
-    the legacy per-object scan; unbound fabrics (plain test fixtures
-    without a consistent columnar store) fall back to the object walk.
-    """
-    state = getattr(fabric, "state", None)
-    links = fabric.links
-    if state is not None and state.n_links == len(links):
-        n = state.n_links
-        down = int(np.count_nonzero(state.state_code[:n] == DOWN_CODE))
-        return down, n
-    down = sum(1 for link in links.values()
-               if link.state is LinkState.DOWN)
-    return down, len(links)
+    """``(links_down, links_total)`` served from the columnar state:
+    one vectorized comparison over the ``state_code`` array instead of
+    a per-object scan."""
+    state = fabric.state
+    n = state.n_links
+    down = int(np.count_nonzero(state.state_code[:n] == DOWN_CODE))
+    return down, n
 
 
 def full_scan_status(controller: MaintenanceController

@@ -5,33 +5,24 @@ equipment i.e. switches and the cabling" maintained by a single
 self-maintenance plane spanning the hall, not a per-pod toy.  The
 simulator must therefore sustain production-scale fabrics; this
 experiment measures how the columnar fabric state
-(:class:`dcrobot.network.state.FabricState`) changes the scaling law.
+(:class:`dcrobot.network.state.FabricState`) and its batch kernels
+scale with the hall.
 
-Each fabric is run twice on the same seed — once with the legacy
-per-link object loops, once with the vectorized batch kernels — and the
-two world summaries are compared field by field.  The kernels are
-designed to be *bit-identical* (same RNG stream consumption, same float
-operation order), so the speedup column comes with a built-in
-correctness proof: every measurement in the summary, availability
-included, matches exactly.
-
-Reported: links, wall-clock for both paths, speedup, and whether the
-summaries were identical.  Fabrics beyond the legacy path's practical
-reach (k=32: ~12k links) run vectorized-only, which is the point.
+Each fabric runs one campaign on the shared seed.  Reported: links,
+wall-clock seconds, and wall-clock seconds per simulated day — the
+absolute cost the perf ledger's ``hall_k16`` workload tracks.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import time
-from typing import Optional, Tuple
+from typing import Optional
 
 from dcrobot.core.automation import AutomationLevel
 from dcrobot.experiments.parallel import Execution
 from dcrobot.experiments.result import ExperimentResult
 from dcrobot.experiments.runner import (
     WorldConfig,
-    WorldSummary,
     run_world,
     summarize_world,
 )
@@ -40,85 +31,55 @@ from dcrobot.topology.fattree import build_fattree
 from dcrobot.topology.gpu import build_gpu_cluster
 
 EXPERIMENT_ID = "e15"
-TITLE = "Hall-scale control loop: columnar kernels vs per-link loops"
+TITLE = "Hall-scale control loop: columnar kernels from k=4 to the hall"
 PAPER_ANCHOR = "§2: one self-maintenance plane spanning the datacenter"
-
-
-def _timed_world(config: WorldConfig) -> Tuple[WorldSummary, float]:
-    """Run one world to the horizon; (summary, wall-clock seconds)."""
-    started = time.perf_counter()
-    summary = summarize_world(run_world(config))
-    return summary, time.perf_counter() - started
-
-
-def _identical(left: WorldSummary, right: WorldSummary) -> bool:
-    return dataclasses.asdict(left) == dataclasses.asdict(right)
 
 
 def run(quick: bool = True, seed: int = 0,
         execution: Optional[Execution] = None) -> ExperimentResult:
-    # Wall-clock comparisons need a quiet machine, not a process pool:
+    # Wall-clock measurements need a quiet machine, not a process pool:
     # trials run serially regardless of ``execution``.
     del execution
     horizon_days = 2.0 if quick else 10.0
-    fabrics = [("fat-tree k=4", build_fattree, {"k": 4}, True),
-               ("fat-tree k=8", build_fattree, {"k": 8}, True)]
+    fabrics = [("fat-tree k=4", build_fattree, {"k": 4}),
+               ("fat-tree k=8", build_fattree, {"k": 8}),
+               ("fat-tree k=16", build_fattree, {"k": 16})]
     if not quick:
-        fabrics.append(("fat-tree k=16", build_fattree, {"k": 16}, True))
-        fabrics.append(
-            ("fat-tree k=32", build_fattree, {"k": 32}, False))
-    else:
-        fabrics.append(("fat-tree k=16", build_fattree, {"k": 16}, True))
+        fabrics.append(("fat-tree k=32", build_fattree, {"k": 32}))
     fabrics.append(("512-GPU cluster", build_gpu_cluster,
-                    {"servers": 128, "gpus_per_server": 4}, True))
+                    {"servers": 128, "gpus_per_server": 4}))
 
     result = ExperimentResult(EXPERIMENT_ID, TITLE, PAPER_ANCHOR)
     table = Table(
-        ["fabric", "links", "legacy s", "columnar s", "speedup",
-         "bit-identical"],
+        ["fabric", "links", "wall s", "wall s / sim day"],
         title="One controller, growing halls: wall-clock per "
               f"{horizon_days:g}-day campaign (L3 automation)")
 
-    speedup_series = []
     wallclock_series = []
-    parity_series = []
-    best_speedup = 0.0
-    best_label = ""
-    for label, builder, kwargs, run_legacy in fabrics:
+    per_day_series = []
+    for label, builder, kwargs in fabrics:
         config = WorldConfig(
             topology_builder=builder, topology_kwargs=kwargs,
             horizon_days=horizon_days, seed=seed,
             level=AutomationLevel.L3_HIGH_AUTOMATION)
-        summary, columnar_seconds = _timed_world(
-            dataclasses.replace(config, vectorized=True))
+        started = time.perf_counter()
+        summary = summarize_world(run_world(config))
+        seconds = time.perf_counter() - started
+        per_day = seconds / horizon_days
         links = summary.link_count
-        wallclock_series.append((links, columnar_seconds))
-        if run_legacy:
-            legacy_summary, legacy_seconds = _timed_world(
-                dataclasses.replace(config, vectorized=False))
-            identical = _identical(summary, legacy_summary)
-            speedup = legacy_seconds / columnar_seconds
-            speedup_series.append((links, speedup))
-            parity_series.append((links, 1.0 if identical else 0.0))
-            if speedup > best_speedup:
-                best_speedup, best_label = speedup, label
-            table.add_row(label, str(links), f"{legacy_seconds:.1f}",
-                          f"{columnar_seconds:.1f}", f"{speedup:.1f}x",
-                          "yes" if identical else "NO")
-        else:
-            table.add_row(label, str(links), "(out of reach)",
-                          f"{columnar_seconds:.1f}", "-", "-")
+        wallclock_series.append((links, seconds))
+        per_day_series.append((links, per_day))
+        table.add_row(label, str(links), f"{seconds:.2f}",
+                      f"{per_day:.3f}")
 
     result.add_table(table)
-    result.add_series("speedup_vs_links", speedup_series)
-    result.add_series("wallclock_vs_links_vectorized", wallclock_series)
-    result.add_series("parity_vs_links", parity_series)
-    result.note(f"peak measured speedup {best_speedup:.1f}x at "
-                f"{best_label}; every timed pair produced "
-                f"field-for-field identical world summaries on the "
-                f"shared seed, so the speed is free of modelling drift")
-    result.note("the legacy loops walk every Link object every tick; "
-                "the columnar path touches contiguous arrays, so the "
+    result.add_series("wallclock_vs_links", wallclock_series)
+    result.add_series("wall_per_sim_day_vs_links", per_day_series)
+    largest_links, largest_per_day = max(per_day_series)
+    result.note(f"largest fabric: {largest_links} links at "
+                f"{largest_per_day:.3f} s of wall-clock per simulated "
+                f"day")
+    result.note("the batch kernels touch contiguous arrays, so the "
                 "per-tick cost is dominated by the handful of links "
                 "that actually change — the hall scales, the "
                 "controller does not notice")

@@ -133,15 +133,6 @@ class WorldConfig:
     #: Attach the observability layer (incident-lifecycle tracing +
     #: metrics registry); off by default so trials pay nothing for it.
     observe: bool = False
-    #: Drive the periodic fleet sweeps (health, telemetry, dust, aging)
-    #: through the columnar batch kernels instead of the per-link
-    #: object loops.  Bit-identical results either way; the kernels are
-    #: what make hall-scale fabrics tractable (E15).
-    vectorized: bool = True
-    #: With ``vectorized``, multiplex all periodic sweeps through one
-    #: BatchTicker process (one heap event per boundary) instead of
-    #: four independent generator processes.
-    coalesce_ticks: bool = True
     #: Attach the columnar traffic engine (S17) and its window driver:
     #: synthetic traffic is offered over the ToR endpoints, repairs
     #: drain modelled traffic, and per-link utilization accumulates in
@@ -487,28 +478,16 @@ def build_world(config: WorldConfig) -> RunResult:
             sim, controller, controller_factory,
             coordinator=coordinator, journal=journal, safety=safety)
 
-    if config.vectorized and config.coalesce_ticks:
-        # One process, one heap event per boundary.  Registration
-        # order and first-fire times mirror the legacy processes:
-        # health ticks immediately on start, the rest sleep one period
-        # first.
-        ticker = BatchTicker(sim)
-        ticker.add(health.tick_all, config.health_tick_seconds,
-                   first_at=sim.now)
-        ticker.add(monitor.poll_all, config.monitor_poll_seconds)
-        ticker.add(dust.step_all, dust.tick_seconds)
-        ticker.add(aging.step_all, aging.tick_seconds)
-        sim.process(ticker.run(sim))
-    elif config.vectorized:
-        sim.process(health.run_vectorized(sim))
-        sim.process(monitor.run_vectorized(sim))
-        sim.process(dust.run_vectorized(sim))
-        sim.process(aging.run_vectorized(sim))
-    else:
-        sim.process(health.run(sim))
-        sim.process(monitor.run(sim))
-        sim.process(dust.run(sim))
-        sim.process(aging.run(sim))
+    # The periodic fleet sweeps run as batch kernels through one
+    # process, one heap event per boundary.  Health ticks immediately
+    # on start; the rest sleep one period first.
+    ticker = BatchTicker(sim)
+    ticker.add(health.tick_all, config.health_tick_seconds,
+               first_at=sim.now)
+    ticker.add(monitor.poll_all, config.monitor_poll_seconds)
+    ticker.add(dust.step_all, dust.tick_seconds)
+    ticker.add(aging.step_all, aging.tick_seconds)
+    sim.process(ticker.run(sim))
     if traffic_driver is not None:
         sim.process(traffic_driver.run(sim))
     if config.fault_trace is not None:

@@ -15,7 +15,6 @@ import numpy as np
 
 from dcrobot.failures.health import HealthModel
 from dcrobot.network.inventory import Fabric
-from dcrobot.sim.engine import Simulation
 
 
 class OxidationAging:
@@ -51,16 +50,6 @@ class OxidationAging:
             self._rate[unit_id] = rate
         return rate
 
-    def tick(self, now: float) -> None:
-        """Advance corrosion on every seated transceiver."""
-        fraction_of_day = self.tick_seconds / 86400.0
-        for link in self.fabric.links.values():
-            for unit in link.transceivers():
-                if not unit.seated:
-                    continue
-                growth = self.rate_for(unit.id) * fraction_of_day
-                unit.oxidation = min(1.0, unit.oxidation + growth)
-
     # -- vectorized sweep ------------------------------------------------------
 
     def _rebuild_rate_rows(self, state) -> None:
@@ -81,16 +70,14 @@ class OxidationAging:
     def step_all(self, now: float) -> None:
         """Advance corrosion on every seated transceiver, columnarily.
 
-        Bit-identical to :meth:`tick`: units whose rate has not been
-        sampled yet draw from the RNG lazily, batched in the exact
-        (link, side a→b) encounter order of the legacy loop — and only
-        while seated, which is when the legacy loop first reaches
-        ``rate_for``.  Growth is then one masked array update.
+        Bit-identical to ``aging_tick`` in ``tests/oracles/sweeps.py``,
+        the per-link loop over ``fabric.links``: units whose rate has
+        not been sampled yet draw from the RNG lazily, batched in that
+        loop's exact (link, side a→b) encounter order — and only while
+        seated, which is when the loop first reaches :meth:`rate_for`.
+        Growth is then one masked array update.
         """
-        state = getattr(self.fabric, "state", None)
-        if state is None:
-            self.tick(now)
-            return
+        state = self.fabric.state
         n = state.n_links
         if n == 0:
             return
@@ -118,16 +105,3 @@ class OxidationAging:
         ox = state.ox[:, :n]
         ox[seated] = np.minimum(1.0, ox[seated]
                                 + rates[seated] * fraction_of_day)
-
-    def run(self, sim: Simulation):
-        """Generator process: corrode on a fixed cadence."""
-        while True:
-            yield sim.timeout(self.tick_seconds)
-            self.tick(sim.now)
-
-    def run_vectorized(self, sim: Simulation):
-        """Generator process around :meth:`step_all` (same event
-        structure as :meth:`run`)."""
-        while True:
-            yield sim.timeout(self.tick_seconds)
-            self.step_all(sim.now)

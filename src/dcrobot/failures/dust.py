@@ -16,7 +16,6 @@ import numpy as np
 
 from dcrobot.failures.health import HealthModel
 from dcrobot.network.inventory import Fabric
-from dcrobot.sim.engine import Simulation
 
 
 class DustProcess:
@@ -54,40 +53,24 @@ class DustProcess:
             self._factor[cable_id] = factor
         return factor
 
-    def tick(self, now: float) -> None:
-        """Deposit one tick's dust on every separable end-face."""
-        fraction_of_day = self.tick_seconds / 86400.0
-        for link in self.fabric.links.values():
-            cable = link.cable
-            if not cable.cleanable:
-                continue
-            amount = (self.mean_rate_per_day
-                      * self.factor_for(cable.id) * fraction_of_day
-                      * float(self.rng.uniform(0.5, 1.5)))
-            if amount <= 0:
-                continue
-            for end in (cable.end_a, cable.end_b):
-                core = int(self.rng.integers(end.core_count))
-                end.add_contamination(amount, cores=[core])
-
     # -- vectorized sweep ------------------------------------------------------
 
     def step_all(self, now: float) -> None:
-        """One dust tick driven by the columnar cleanable mask.
+        """Deposit one tick's dust on every separable end-face, driven by
+        the columnar cleanable mask.
 
         The RNG here cannot be batched bit-identically (``integers``
         uses Lemire rejection, whose draw count is data-dependent), so
         the loop body stays scalar and stream-identical to
-        :meth:`tick`.  What it saves is overhead around the draws: the
-        non-cleanable links are skipped via a cached, insertion-ordered
-        list of ``(cable_id, end_a, end_b)``, the RNG methods are bound
-        once per tick, and each single-core deposit writes the face's
-        worst-core column through instead of re-reducing the face.
+        ``dust_tick`` in ``tests/oracles/sweeps.py``, the per-link loop
+        over ``fabric.links``.  What it saves is overhead around the
+        draws: the non-cleanable links are skipped via a cached,
+        insertion-ordered list of ``(cable_id, end_a, end_b)``, the RNG
+        methods are bound once per tick, and each single-core deposit
+        writes the face's worst-core column through instead of
+        re-reducing the face.
         """
-        state = getattr(self.fabric, "state", None)
-        if state is None:
-            self.tick(now)
-            return
+        state = self.fabric.state
         if self._cleanable_generation != state.generation:
             n = state.n_links
             rows = state.rows_in_insertion_order(
@@ -110,16 +93,3 @@ class DustProcess:
                 amount, cores=[int(integers(end_a.core_count))])
             end_b.add_contamination(
                 amount, cores=[int(integers(end_b.core_count))])
-
-    def run(self, sim: Simulation):
-        """Generator process: deposit dust on a fixed cadence."""
-        while True:
-            yield sim.timeout(self.tick_seconds)
-            self.tick(sim.now)
-
-    def run_vectorized(self, sim: Simulation):
-        """Generator process around :meth:`step_all` (same event
-        structure as :meth:`run`)."""
-        while True:
-            yield sim.timeout(self.tick_seconds)
-            self.step_all(sim.now)

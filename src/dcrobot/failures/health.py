@@ -11,9 +11,9 @@ maps to behaviour:
   whose tail-latency poison §1 describes;
 * above ``hard_down_threshold`` — persistent DOWN.
 
-The :class:`HealthModel` owns a periodic process that re-evaluates every
-link; maintenance executors consult it after repairs, and the cascade
-model injects disturbances through it.
+The :class:`HealthModel` re-evaluates every link in one array sweep per
+tick (:meth:`HealthModel.tick_all`); maintenance executors consult it
+after repairs, and the cascade model injects disturbances through it.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from dcrobot.network.state import (
     STATE_OF,
     UP_CODE,
 )
-from dcrobot.sim.engine import Simulation
 
 
 @dataclasses.dataclass
@@ -71,18 +70,16 @@ class HealthModel:
         self.params = params or HealthParams()
         self.rng = rng if rng is not None else np.random.default_rng(0)
         #: Gilbert-Elliott phase for links not bound to the fabric's
-        #: columnar state (standalone test fixtures); bound links keep
-        #: theirs in the registered column below.
+        #: columnar state (links ``disconnect`` has unbound); bound
+        #: links keep theirs in the registered column below.
         self._bad_state: Dict[str, bool] = {}
         self._disturbed_until: Dict[str, float] = {}
-        state = getattr(fabric, "state", None)
-        self._bad = (state.add_link_column(False)
-                     if state is not None else None)
+        self._bad = fabric.state.add_link_column(False)
 
     # -- Gilbert-Elliott phase storage ---------------------------------------
 
     def _bad_row(self, link: Link) -> Optional[int]:
-        if self._bad is not None and link._fs is self.fabric.state:
+        if link._fs is self.fabric.state:
             return link._row
         return None
 
@@ -224,29 +221,22 @@ class HealthModel:
         self._set_bad(link, False)
         self.evaluate_link(link, now)
 
-    def tick(self, now: float) -> None:
-        """Re-evaluate every link (legacy per-link loop; kept as the
-        oracle the vectorized path is parity-tested against)."""
-        for link in self.fabric.links.values():
-            self.evaluate_link(link, now)
-
     # -- vectorized sweep ------------------------------------------------------
 
     def tick_all(self, now: float) -> None:
         """Re-evaluate every link in one array sweep.
 
-        Bit-identical to :meth:`tick`: scores and masks are computed
-        columnarily, the Gilbert-Elliott draws are batched in
-        ``fabric.links`` order (``rng.random(k)`` consumes the stream
-        exactly like ``k`` sequential scalar draws), and the good-phase
-        marginal loss is computed with scalar Python pow over the
-        (small) marginal subset because ``10.0 ** ndarray`` is *not*
-        bit-identical to the scalar power the legacy path uses.
+        Bit-identical to ``health_tick`` in ``tests/oracles/sweeps.py``,
+        which calls :meth:`evaluate_link` on every link in
+        ``fabric.links`` order: scores and masks are computed
+        columnarily, the Gilbert-Elliott draws are batched in that order
+        (``rng.random(k)`` consumes the stream exactly like ``k``
+        sequential scalar draws), and the good-phase marginal loss is
+        computed with scalar Python pow over the (small) marginal subset
+        because ``10.0 ** ndarray`` is *not* bit-identical to the scalar
+        power :meth:`marginal_loss` uses.
         """
-        state = getattr(self.fabric, "state", None)
-        if state is None:
-            self.tick(now)
-            return
+        state = self.fabric.state
         n = state.n_links
         if n == 0:
             return
@@ -321,17 +311,3 @@ class HealthModel:
         links_by_row = state.links_by_row
         for row in changed:
             links_by_row[row].set_state(now, STATE_OF[new_code[row]])
-
-    def run(self, sim: Simulation):
-        """Generator process: evaluate all links every tick."""
-        while True:
-            self.tick(sim.now)
-            yield sim.timeout(self.params.tick_seconds)
-
-    def run_vectorized(self, sim: Simulation):
-        """Generator process around :meth:`tick_all` (same event
-        structure as :meth:`run`, used when batch ticks are not
-        coalesced)."""
-        while True:
-            self.tick_all(sim.now)
-            yield sim.timeout(self.params.tick_seconds)

@@ -37,8 +37,8 @@ class AvailabilitySummary:
 def link_availability(fabric: Fabric, start: float,
                       end: float) -> AvailabilitySummary:
     """Per-link traffic-carrying fraction over [start, end)."""
-    state = getattr(fabric, "state", None)
-    if (state is not None and start == 0.0 and end > start
+    state = fabric.state
+    if (start == 0.0 and end > start
             and end >= state.last_transition_time
             and state.n_links == len(fabric.links)):
         # Columnar fast path: the uptime accumulators sum the exact

@@ -6,10 +6,13 @@ not: every periodic process (health ticks, dust and oxidation
 accumulation, telemetry polling, availability accounting) used to walk
 ``fabric.links.values()`` attribute by attribute, which caps the world
 at toy sizes.  :class:`FabricState` keeps the same facts as contiguous
-numpy columns — one row per wired link — so those processes become
+numpy columns — one row per wired link — so those processes are
 array kernels (`HealthModel.tick_all`, `DustProcess.step_all`,
 `OxidationAging.step_all`, `TelemetryMonitor.poll_all`, the array path
-in :func:`dcrobot.metrics.availability.link_availability`).
+in :func:`dcrobot.metrics.availability.link_availability`).  The
+kernels, run through one :class:`~dcrobot.sim.batch.BatchTicker`, are
+the only sweep path; the per-link loops they replaced survive as test
+oracles in ``tests/oracles/sweeps.py``.
 
 Design rules:
 
@@ -27,7 +30,7 @@ Design rules:
   masks.  Each binding also gets a monotonically increasing *lid*
   (link insertion ordinal); sorting rows by lid reproduces
   ``fabric.links`` dict order, which is what keeps batched RNG draws
-  stream-identical to the legacy per-link loops.
+  stream-identical to the per-link loops.
 * **Event-sourced flap log.**  ``set_state`` appends flap-qualifying
   transitions (same rule as ``Link.transition_count``) to a global
   time-sorted ``(time, lid)`` log; windowed flap counts for the whole

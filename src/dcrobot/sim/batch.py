@@ -1,19 +1,20 @@
 """Coalesced periodic ticking for the fleet-wide batch kernels.
 
-At hall scale the periodic processes (health, telemetry, dust, aging)
-dominate the event heap: four generator resumes plus four heap pushes
-per shared boundary, every boundary, forever.  :class:`BatchTicker`
-replaces them with *one* process that wakes at the earliest due
-boundary and runs every due callback — one heap event per distinct
-time, however many cadences share it.
+At hall scale one process per periodic sweep (health, telemetry, dust,
+aging) would dominate the event heap: four generator resumes plus four
+heap pushes per shared boundary, every boundary, forever.
+:class:`BatchTicker` runs them all in *one* process that wakes at the
+earliest due boundary and runs every due callback — one heap event per
+distinct time, however many cadences share it.  It is how every world
+runs its periodic sweeps.
 
 Equivalence with the one-process-per-cadence layout is deliberate and
 exact: due callbacks fire ordered by ``(last fire time, registration
-index)``, which reproduces the engine's FIFO tie-break for the separate
-legacy processes (a process that last ran earlier enqueued its next
-timeout earlier, so it resumes earlier at the shared boundary), and the
-next wake-up is scheduled only after the due callbacks have run, just
-as each legacy process schedules its next timeout after its tick.
+index)``, which reproduces the engine's FIFO tie-break for separate
+processes (a process that last ran earlier enqueued its next timeout
+earlier, so it resumes earlier at the shared boundary), and the next
+wake-up is scheduled only after the due callbacks have run, just as
+each separate process schedules its next timeout after its tick.
 """
 
 from __future__ import annotations

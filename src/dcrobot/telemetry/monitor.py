@@ -1,4 +1,4 @@
-"""The telemetry monitor: periodic fleet scan feeding subscribers.
+"""The telemetry monitor: periodic fleet poll feeding subscribers.
 
 Subscribers are callables (typically the maintenance controller's
 ``on_event``) invoked with each new :class:`TelemetryEvent`.  Per-link
@@ -18,14 +18,14 @@ Two hardening hooks sit between detection and delivery:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Iterable, List, Optional
 
 import numpy as np
 
 from dcrobot.network.inventory import Fabric
+from dcrobot.network.link import Link
 from dcrobot.network.state import DOWN_CODE, FLAPPING_CODE, MAINTENANCE_CODE
 from dcrobot.obs import NULL_OBS
-from dcrobot.sim.engine import Simulation
 from dcrobot.telemetry.detectors import DetectorParams, LinkDetector
 from dcrobot.telemetry.events import TelemetryEvent
 
@@ -128,46 +128,22 @@ class TelemetryMonitor:
             pending = emitted
         return pending
 
-    def scan(self, now: float) -> List[TelemetryEvent]:
-        """One full-fleet pass; returns (and dispatches) new events."""
-        new_events = []
-        for link in self.fabric.links.values():
-            if self.is_muted(link.id, now):
-                continue
-            event = self.detector.check(link, now)
-            if event is None:
-                continue
-            self.mute(link.id, now)  # one report per incident until re-armed
-            self.events.append(event)
-            if self.obs.enabled:
-                self.obs.tracer.record("detect", link_id=link.id,
-                                       symptom=event.symptom.value)
-                self.obs.count("dcrobot_telemetry_events_total",
-                               symptom=event.symptom.value)
-                self.obs.gauge("dcrobot_muted_links",
-                               len(self._muted))
-            for delivered in self._deliveries(event):
-                new_events.append(delivered)
-                for subscriber in self.subscribers:
-                    subscriber(delivered)
-        return new_events
-
     def poll_all(self, now: float) -> List[TelemetryEvent]:
-        """One full-fleet pass using the columnar state as a prefilter.
+        """One full-fleet pass using the columnar state as a prefilter;
+        returns (and dispatches) the new events.
 
-        Bit-identical to :meth:`scan`: the arrays select a *superset* of
-        the links the legacy pass would touch — rows down past the grace
-        period, rows with enough windowed flap transitions, rows with
-        elevated loss, ids with pending ``_lossy_since`` bookkeeping,
-        and muted ids whose TTL expires this poll.  Every other link is
-        provably a no-op in :meth:`scan` (``check`` returns ``None``
-        without mutating detector state).  Selected links then run the
-        exact per-link scan body, in ``fabric.links`` order, so events,
-        mutes, observability, and deliveries are unchanged.
+        Bit-identical to ``monitor_poll`` in ``tests/oracles/sweeps.py``,
+        which runs :meth:`_scan` over every link: the arrays select a
+        *superset* of the links that pass would touch — rows down past
+        the grace period, rows with enough windowed flap transitions,
+        rows with elevated loss, ids with pending ``_lossy_since``
+        bookkeeping, and muted ids whose TTL expires this poll.  Every
+        other link is provably a no-op in :meth:`_scan` (``check``
+        returns ``None`` without mutating detector state).  Selected
+        links then run :meth:`_scan` in ``fabric.links`` order, so
+        events, mutes, observability, and deliveries are unchanged.
         """
-        state = getattr(self.fabric, "state", None)
-        if state is None:
-            return self.scan(now)
+        state = self.fabric.state
         n = state.n_links
         params = self.detector.params
         candidate = np.zeros(n, dtype=bool)
@@ -194,10 +170,14 @@ class TelemetryMonitor:
                     if row is not None:
                         candidate[row] = True
         rows = state.rows_in_insertion_order(np.nonzero(candidate)[0])
+        links_by_row = state.links_by_row
+        return self._scan([links_by_row[row] for row in rows], now)
 
+    def _scan(self, links: Iterable[Link],
+              now: float) -> List[TelemetryEvent]:
+        """Detect, mute, trace, and deliver over ``links`` in order."""
         new_events = []
-        for row in rows:
-            link = state.links_by_row[row]
+        for link in links:
             if self.is_muted(link.id, now):
                 continue
             event = self.detector.check(link, now)
@@ -217,16 +197,3 @@ class TelemetryMonitor:
                 for subscriber in self.subscribers:
                     subscriber(delivered)
         return new_events
-
-    def run(self, sim: Simulation):
-        """Generator process: scan forever at the poll interval."""
-        while True:
-            yield sim.timeout(self.poll_seconds)
-            self.scan(sim.now)
-
-    def run_vectorized(self, sim: Simulation):
-        """Generator process around :meth:`poll_all` (same event
-        structure as :meth:`run`)."""
-        while True:
-            yield sim.timeout(self.poll_seconds)
-            self.poll_all(sim.now)

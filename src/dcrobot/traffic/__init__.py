@@ -1,8 +1,9 @@
 """Traffic substrate (S5): flows, ECMP routing, and FCT/latency model.
 
 The columnar engine (S17) lives in :mod:`dcrobot.traffic.state`; the
-object-path modules stay the API for single-flow work and the parity
-oracle (:mod:`dcrobot.traffic.legacy`) for the batch path.
+object-path modules stay the API for single-flow work.  The per-flow
+parity oracle for the batch path lives with its tests, in
+``tests/oracles/traffic.py``.
 """
 
 from dcrobot.traffic.driver import TrafficDriver, WindowStats
@@ -16,7 +17,6 @@ from dcrobot.traffic.latency import (
     congestion_loss,
     percentile,
 )
-from dcrobot.traffic.legacy import LegacyTrafficModel
 from dcrobot.traffic.patterns import (
     HotspotPattern,
     IncastPattern,
@@ -45,7 +45,6 @@ __all__ = [
     "PROPAGATION_S_PER_M",
     "TrafficState",
     "WindowResult",
-    "LegacyTrafficModel",
     "TrafficDriver",
     "WindowStats",
     "UniformPattern",

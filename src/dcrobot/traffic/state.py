@@ -31,9 +31,9 @@ Three structural ideas make it fast without changing the physics:
 * **In-order accumulation.**  Per-link offered bytes and flow counts
   are accumulated with ``np.bincount`` from flow-major flattened hop
   arrays; it adds weights in input order, so it performs the same
-  float additions in the same order as the legacy per-flow loop — and
-  utilization totals agree bit for bit with the
-  :class:`~dcrobot.traffic.legacy.LegacyTrafficModel` oracle.
+  float additions in the same order as the per-flow loop — and
+  utilization totals agree bit for bit with the per-flow oracle in
+  ``tests/oracles/traffic.py``.
 
 Path enumeration follows the shared lexicographic spec in
 :func:`dcrobot.traffic.routing.lexicographic_shortest_paths`; member

@@ -61,7 +61,7 @@ def test_monitor_scan_with_drop_still_mutes_but_delivers_nothing():
 
     link = world.links[0]
     link.set_state(0.0, LinkState.DOWN)
-    delivered = monitor.scan(2000.0)
+    delivered = monitor.poll_all(2000.0)
 
     # Detection happened (and muted the link), but the delivery — and
     # therefore the controller — never saw it: the lost-report case the
@@ -84,13 +84,13 @@ def test_mute_ttl_turns_a_dropped_report_into_a_late_one():
 
     link = world.links[0]
     link.set_state(0.0, LinkState.DOWN)
-    assert monitor.scan(2000.0) == []    # detected, dropped, muted
-    assert monitor.scan(3000.0) == []    # still muted: nothing re-fires
+    assert monitor.poll_all(2000.0) == []    # detected, dropped, muted
+    assert monitor.poll_all(3000.0) == []    # still muted: nothing re-fires
 
     # After the TTL the mute expires; stop dropping and the symptom is
     # re-detected and finally delivered.
     chaos.config = ChaosConfig()
-    delivered = monitor.scan(2000.0 + 3601.0)
+    delivered = monitor.poll_all(2000.0 + 3601.0)
     assert len(delivered) == 1
     assert heard == delivered
     assert delivered[0].symptom is Symptom.LINK_DOWN
@@ -104,7 +104,7 @@ def test_monitor_scan_with_dup_invokes_subscriber_twice():
     monitor.subscribe(heard.append)
 
     world.links[0].set_state(0.0, LinkState.DOWN)
-    delivered = monitor.scan(2000.0)
+    delivered = monitor.poll_all(2000.0)
     assert len(delivered) == 2
     assert heard == delivered
     # One *detection* regardless of how many deliveries it fanned into.

@@ -17,6 +17,7 @@ from dcrobot.network import (
     SwitchRole,
 )
 from dcrobot.sim import Simulation
+from dcrobot.sim.batch import BatchTicker
 
 
 @dataclasses.dataclass
@@ -61,6 +62,21 @@ def make_world(links=4, seed=17, kind=CableKind.MPO, rows=1,
     return World(sim=sim, fabric=fabric, links=made,
                  environment=environment, health=health, cascade=cascade,
                  physics=physics, switch_a=a, switch_b=b)
+
+
+def start_sweeps(sim, health=None, monitor=None, dust=None):
+    """Run the given periodic sweeps on one BatchTicker, registered as
+    ``build_world`` does: health ticks at once, the others sleep one
+    period first."""
+    ticker = BatchTicker(sim)
+    if health is not None:
+        ticker.add(health.tick_all, health.params.tick_seconds,
+                   first_at=sim.now)
+    if monitor is not None:
+        ticker.add(monitor.poll_all, monitor.poll_seconds)
+    if dust is not None:
+        ticker.add(dust.step_all, dust.tick_seconds)
+    sim.process(ticker.run(sim))
 
 
 @pytest.fixture

@@ -20,7 +20,7 @@ from dcrobot.core import (
     MaintenanceServiceAPI,
     RepairAction,
 )
-from dcrobot.core.api import full_scan_status, link_state_counts
+from dcrobot.core.api import full_scan_status
 from dcrobot.experiments import WorldConfig, build_world, run_world
 from dcrobot.network.enums import LinkState
 
@@ -68,19 +68,6 @@ def test_status_counts_known_down_links(quiet_world):
     after = api.status()
     assert after.links_down == 3
     assert after == api.status_scan()
-
-
-def test_link_state_counts_falls_back_without_columns(quiet_world):
-    """Fabric-shaped objects without a consistent columnar store take
-    the legacy object walk."""
-
-    class Bare:
-        state = None
-        links = quiet_world.fabric.links
-
-    down, total = link_state_counts(Bare())
-    scan = full_scan_status(quiet_world.controller)
-    assert (down, total) == (scan.links_down, scan.links_total)
 
 
 def test_status_reports_controller_ledgers(eventful_world):

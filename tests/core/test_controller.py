@@ -18,7 +18,7 @@ from dcrobot.network import LinkState
 from dcrobot.robots import FleetConfig, RobotFleet
 from dcrobot.telemetry import TelemetryMonitor
 
-from tests.conftest import make_world
+from tests.conftest import make_world, start_sweeps
 
 HOUR = 3600.0
 FAST_DISPATCH = {Priority.HIGH: 600.0, Priority.NORMAL: 1800.0}
@@ -52,8 +52,7 @@ def wire_controller(world, level=AutomationLevel.L0_NO_AUTOMATION,
         config=config or ControllerConfig(
             verification_delay_seconds=300.0))
     controller.start()
-    world.sim.process(world.health.run(world.sim))
-    world.sim.process(monitor.run(world.sim))
+    start_sweeps(world.sim, health=world.health, monitor=monitor)
     return monitor, pool, fleet, controller
 
 

@@ -22,6 +22,7 @@ from dcrobot.core.recovery import ControllerSupervisor
 from dcrobot.telemetry import TelemetryMonitor
 from dcrobot.telemetry.detectors import DetectorParams
 
+from tests.conftest import start_sweeps
 from tests.core.test_controller_resilience import (
     ScriptedExecutor,
     fast_resilience,
@@ -92,7 +93,7 @@ def build_recoverable(world, *, journal=None, leadership=False,
         coordinator=coordinator, journal=journal)
     supervisor.start()
     supervisor.controller.start()
-    world.sim.process(monitor.run(world.sim))
+    start_sweeps(world.sim, monitor=monitor)
     return monitor, humans, supervisor
 
 

@@ -1,12 +1,12 @@
-"""Pinned world configurations for vectorized-vs-legacy parity.
+"""Pinned world configurations for golden parity.
 
 These small fixed-seed worlds were characterized *before* the columnar
-``FabricState`` refactor (PR 5): ``tools/capture_parity_goldens.py``
-ran each one through the per-link loop path and froze its
-:class:`~dcrobot.experiments.runner.WorldSummary` under
+``FabricState`` refactor: ``tools/capture_parity_goldens.py`` ran each
+one through the per-link loops that the batch kernels later replaced,
+and froze its :class:`~dcrobot.experiments.runner.WorldSummary` under
 ``tests/golden/parity/``.  The parity suite re-runs the same configs on
 the current code and requires bit-identical summaries — any drift in
-the health model, dust/oxidation processes, telemetry scan, or
+the health model, dust/oxidation processes, telemetry poll, or
 availability accounting fails loudly.
 
 The shapes deliberately mirror the experiments the refactor must not

@@ -1,20 +1,17 @@
-"""Vectorized-vs-legacy parity: the refactor must not change physics.
+"""Golden parity: the batch kernels must not change physics.
 
 ``tests/golden/parity/*.json`` holds :class:`WorldSummary` snapshots of
 the pinned worlds in :mod:`tests.experiments.parity_worlds`, captured
 on the pre-``FabricState`` per-link loop code (see
-``tools/capture_parity_goldens.py``).  Two guarantees are enforced:
-
-* **golden parity** — the current default (vectorized) path reproduces
-  every pre-refactor summary bit-for-bit on the fixed seeds;
-* **path parity** — the vectorized sweeps and the retained per-link
-  legacy loops agree with each other on a live double-run, so the
-  legacy path stays a trustworthy oracle for future refactors.
+``tools/capture_parity_goldens.py``).  Every world runs its periodic
+sweeps through the batch kernels, and each must reproduce its
+pre-refactor summary bit-for-bit on the fixed seed.  The kernels are
+held to the per-link loops themselves, on fault states these worlds
+never reach, by ``tests/failures/test_sweep_oracles.py``.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
 
@@ -60,14 +57,3 @@ def test_summary_matches_pre_refactor_golden(name):
     assert actual == expected, (
         f"world {name!r} drifted from its pre-refactor summary:\n"
         + _diff(actual, expected))
-
-
-@pytest.mark.parametrize("name", ["e1_l0", "gray_dust", "e13_chaos"])
-def test_vectorized_and_legacy_paths_agree(name):
-    """Live double-run: batch kernels vs retained per-link loops."""
-    config = CONFIGS[name]
-    vectorized = summarize_world(run_world(
-        dataclasses.replace(config, vectorized=True)))
-    legacy = summarize_world(run_world(
-        dataclasses.replace(config, vectorized=False)))
-    assert summary_to_plain(vectorized) == summary_to_plain(legacy)

@@ -12,6 +12,8 @@ from dcrobot.network import (
     SwitchRole,
 )
 
+from tests.conftest import start_sweeps
+
 
 def make_link(kind=CableKind.MPO, seed=2):
     rng = np.random.default_rng(seed)
@@ -157,7 +159,7 @@ def test_tick_covers_all_links():
     a, b = link.endpoint_ids
     second = fabric.connect(a, b, kind=CableKind.MPO)
     second.transceiver_a.fail_hardware()
-    health.tick(0.0)
+    health.tick_all(0.0)
     assert second.state is LinkState.DOWN
     assert link.state is LinkState.UP
 
@@ -168,6 +170,6 @@ def test_health_run_process():
     fabric, link, env, health = make_link()
     sim = Simulation()
     link.transceiver_a.firmware_stuck = True
-    sim.process(health.run(sim))
+    start_sweeps(sim, health=health)
     sim.run(until=health.params.tick_seconds * 3)
     assert link.state is LinkState.DOWN

@@ -13,7 +13,7 @@ from dcrobot.ml import (
 )
 from dcrobot.network import LinkState
 
-from tests.conftest import make_world
+from tests.conftest import make_world, start_sweeps
 
 HOUR = 3600.0
 
@@ -66,7 +66,7 @@ def test_dust_accumulates_only_on_separable(world):
                        mean_rate_per_day=0.5,
                        rng=np.random.default_rng(3))
     for day in range(10):
-        dust.tick(day * 86400.0)
+        dust.step_all(day * 86400.0)
     assert any(link.cable.worst_contamination > 0
                for link in world.links)
 
@@ -129,7 +129,6 @@ def test_rows_beyond_horizon_dropped(world):
     assert len(dataset) == len(world.links)
 
 
-@pytest.mark.slow
 def test_end_to_end_prediction_beats_chance():
     # Dusty world: margins trend down before links start flapping, so a
     # trained model must rank failing links above healthy ones.
@@ -142,8 +141,7 @@ def test_end_to_end_prediction_beats_chance():
                        mean_rate_per_day=0.02, hotspot_sigma=1.2,
                        rng=np.random.default_rng(6))
     sim = world.sim
-    sim.process(world.health.run(sim))
-    sim.process(dust.run(sim))
+    start_sweeps(sim, health=world.health, dust=dust)
     sim.process(collector.run(sim))
     horizon = 60 * 86400.0
     sim.run(until=horizon)

@@ -6,10 +6,10 @@ or its parity-golden snapshots.  Three guarantees:
 
 * **golden parity** — a 1-hall campus reproduces the pinned
   pre-refactor ``tests/golden/parity`` summaries exactly (the same
-  files the vectorized-parity suite holds the legacy path to);
-* **live parity** — a live double-run (legacy ``run_world`` vs 1-hall
-  campus) agrees field-for-field *and* leaves every world RNG stream
-  in the identical end state;
+  files the golden parity suite holds the single-hall world to);
+* **live parity** — a live double-run (single-hall ``run_world`` vs
+  1-hall campus) agrees field-for-field *and* leaves every world RNG
+  stream in the identical end state;
 * **execution parity** — a serial campus and a process-pool campus
   produce bit-identical summaries.
 """

@@ -18,6 +18,8 @@ from dcrobot.telemetry import (
     TelemetryMonitor,
 )
 
+from tests.conftest import start_sweeps
+
 
 def make_fabric(links=1):
     fabric = Fabric(layout=HallLayout(rows=1, racks_per_row=2),
@@ -144,7 +146,7 @@ def test_monitor_dispatches_to_subscribers():
     received = []
     monitor.subscribe(received.append)
     link.set_state(0.0, LinkState.DOWN)
-    monitor.scan(now=1000.0)
+    monitor.poll_all(now=1000.0)
     assert len(received) == 1
     assert received[0].link_id == link.id
 
@@ -153,8 +155,8 @@ def test_monitor_mutes_after_first_report():
     fabric, (link,) = make_fabric()
     monitor = TelemetryMonitor(fabric, poll_seconds=60.0)
     link.set_state(0.0, LinkState.DOWN)
-    first = monitor.scan(now=1000.0)
-    second = monitor.scan(now=1100.0)
+    first = monitor.poll_all(now=1000.0)
+    second = monitor.poll_all(now=1100.0)
     assert len(first) == 1
     assert second == []
     assert monitor.is_muted(link.id)
@@ -164,9 +166,9 @@ def test_monitor_unmute_rearms():
     fabric, (link,) = make_fabric()
     monitor = TelemetryMonitor(fabric, poll_seconds=60.0)
     link.set_state(0.0, LinkState.DOWN)
-    monitor.scan(now=1000.0)
+    monitor.poll_all(now=1000.0)
     monitor.unmute(link.id)
-    again = monitor.scan(now=1200.0)
+    again = monitor.poll_all(now=1200.0)
     assert len(again) == 1
 
 
@@ -176,7 +178,7 @@ def test_monitor_process_scans_on_schedule():
     seen = []
     monitor.subscribe(lambda event: seen.append(event.time))
     sim = Simulation()
-    sim.process(monitor.run(sim))
+    start_sweeps(sim, monitor=monitor)
 
     def fail_later(sim, link):
         yield sim.timeout(150.0)

@@ -6,8 +6,9 @@ Two contracts pinned here:
   loop with *blocked* draws; numpy fills array draws element by
   element, so a scalar loop making the same blocked draws consumes the
   identical RNG stream and yields identical flows.
-* :class:`TrafficState` must reproduce
-  :class:`LegacyTrafficModel` exactly — per-flow FCTs, per-link
+* :class:`TrafficState` must reproduce the per-flow
+  :class:`LegacyTrafficModel` oracle (``tests/oracles/traffic.py``)
+  exactly — per-flow FCTs, per-link
   utilization and congestion-loss totals — across link failures, loss
   changes, and drain/undrain cycles, because the legacy model *is* the
   physics specification.
@@ -20,11 +21,12 @@ from dcrobot.network import LinkState, SwitchRole
 from dcrobot.topology import build_fattree
 from dcrobot.traffic import (
     FlowGenerator,
-    LegacyTrafficModel,
     TrafficState,
     sample_sizes,
 )
 from dcrobot.traffic.flows import MIN_FLOW_BYTES, SIZE_MIX
+
+from tests.oracles.traffic import LegacyTrafficModel
 
 
 # -- flow sampling ----------------------------------------------------------

@@ -1,14 +1,16 @@
 """Freeze the parity worlds' summaries under tests/golden/parity/.
 
 Run once, from the repo root, *before* a behaviour-preserving refactor
-of the per-link hot paths::
+of the periodic sweeps or the summary path::
 
     PYTHONPATH=src:tests python tools/capture_parity_goldens.py
 
-The vectorized-parity suite (tests/experiments/test_vectorized_parity.py)
-then holds the refactored code to these exact summaries.  Do NOT
-regenerate after a refactor unless a deliberate, reviewed behaviour
-change is being landed — regeneration is the moment parity claims die.
+The committed snapshots were captured on the per-link loop code that
+the batch kernels replaced; the golden parity suite
+(tests/experiments/test_vectorized_parity.py) holds the current code to
+these exact summaries.  Do NOT regenerate after a refactor unless a
+deliberate, reviewed behaviour change is being landed — regeneration
+is the moment parity claims die.
 """
 
 from __future__ import annotations

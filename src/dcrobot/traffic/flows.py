@@ -31,6 +31,13 @@ SIZE_MIX: Sequence[Tuple[float, float, float]] = (
 
 MIN_FLOW_BYTES = 64
 
+#: ``SIZE_MIX`` as arrays for :func:`sample_sizes`: cumulative
+#: component probabilities, lognormal means and sigmas.
+_SIZE_CUMULATIVE = np.cumsum([probability for probability, _, _
+                              in SIZE_MIX])
+_SIZE_MEANS = np.array([mean for _, mean, _ in SIZE_MIX])
+_SIZE_SIGMAS = np.array([sigma for _, _, sigma in SIZE_MIX])
+
 
 @dataclasses.dataclass(frozen=True)
 class Flow:
@@ -55,13 +62,11 @@ def sample_sizes(rng: np.random.Generator, count: int) -> np.ndarray:
     array-valued (mean, sigma) selected per flow.
     """
     thresholds = rng.random(count)
-    cumulative = np.cumsum([probability for probability, _, _
-                            in SIZE_MIX])
-    component = np.searchsorted(cumulative, thresholds, side="right")
+    component = np.searchsorted(_SIZE_CUMULATIVE, thresholds,
+                                side="right")
     component = np.minimum(component, len(SIZE_MIX) - 1)
-    means = np.array([mean for _, mean, _ in SIZE_MIX])[component]
-    sigmas = np.array([sigma for _, _, sigma in SIZE_MIX])[component]
-    sizes = rng.lognormal(means, sigmas).astype(np.int64)
+    sizes = rng.lognormal(_SIZE_MEANS[component],
+                          _SIZE_SIGMAS[component]).astype(np.int64)
     return np.maximum(MIN_FLOW_BYTES, sizes)
 
 

@@ -9,9 +9,9 @@ columnar substrate:
   (copy-on-write — O(1) until the first write, and only the touched
   column splits);
 * ``TrafficState.fork()`` shares the routing structure and the
-  content-keyed routing memo (adjacency, twin classes and per-class-
-  pair path interiors), resetting only loss-dependent member
-  resolution;
+  content-keyed routing memo (adjacency, twin classes, per-class-pair
+  path interiors and ECMP member resolutions per best-row state); the
+  twin only re-picks the member resolution that matches its own loss;
 * a forked RNG substream keeps the twin's stochastic draws independent
   of — and reproducible against — the live world;
 * an optional journal snapshot (``controller.snapshot_state()`` from
@@ -81,6 +81,12 @@ class TwinWorld:
                  controller_snapshot: Optional[dict] = None,
                  smi=None,
                  owns_fork: bool = False) -> None:
+        if window_seconds <= 0:
+            raise ValueError("window_seconds must be > 0")
+        if sample_seconds is not None and sample_seconds <= 0:
+            raise ValueError("sample_seconds must be > 0")
+        if flows_per_window < 0:
+            raise ValueError("flows_per_window must be >= 0")
         self.fabric = fabric
         self.state = fabric_state
         self.traffic = traffic
@@ -142,9 +148,13 @@ class TwinWorld:
         snapshot = (controller.snapshot_state()
                     if controller is not None else None)
         smi = smi_tracker.fork() if smi_tracker is not None else None
-        return cls(twin_fabric, fs_child, twin_traffic, twin_rng,
-                   now=now, controller_snapshot=snapshot, smi=smi,
-                   owns_fork=True, **params)
+        try:
+            return cls(twin_fabric, fs_child, twin_traffic, twin_rng,
+                       now=now, controller_snapshot=snapshot, smi=smi,
+                       owns_fork=True, **params)
+        except ValueError:
+            fs_child.cow_release()  # no twin owns the fork to close it
+            raise
 
     @classmethod
     def wrap(cls, fabric, traffic: Optional[TrafficState] = None,

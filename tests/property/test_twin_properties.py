@@ -145,48 +145,88 @@ def test_fork_is_o1_until_first_write(seed, index):
 
 @given(seed=st.integers(min_value=0, max_value=30),
        windows=st.integers(min_value=1, max_value=3),
-       maintenance_index=st.integers(min_value=0, max_value=47))
+       maintenance_index=st.integers(min_value=0, max_value=47),
+       lossy_index=st.integers(min_value=0, max_value=47),
+       flows=st.sampled_from([12, 300]))
 @settings(max_examples=10, deadline=None)
 def test_twin_rollout_bit_identical_to_independent_world(
-        seed, windows, maintenance_index):
-    """Fork + roll == independently built same world + same substream.
+        seed, windows, maintenance_index, lossy_index, flows):
+    """Forks of a warm parent == independently built same worlds.
 
-    The independent world is wrapped (no fork) so both runs go through
-    one code path; only the snapshot mechanism differs.
+    The parent first offers windows, including under the drain the
+    twins will apply, so two sibling forks start from its warm routing
+    memo and share member resolutions with it and with each other.
+    Each fork, rolled interleaved with its sibling, must equal a cold,
+    independently built world rolled on the same substream.  The cold
+    world is wrapped (no fork) so both runs go through one code path;
+    only the snapshot mechanism and the memo's warmth differ.  Small
+    windows leave some of the parent's resolved pairs unoffered by a
+    fork, which its sibling projections must not see.
     """
-    topology_a, traffic_a = make_world(seed)
-    topology_b, traffic_b = make_world(seed)
-    link_ids = list(topology_a.fabric.links)
+    def build():
+        topology, traffic = make_world(seed)
+        fs = topology.fabric.state
+        fs.loss_rate[lossy_index % fs.n_links] = 0.02
+        return topology, traffic
+
+    params = dict(window_seconds=60.0, sample_seconds=1.0,
+                  flows_per_window=flows)
+    topology, parent = build()
+    link_ids = list(topology.fabric.links)
     target = link_ids[maintenance_index % len(link_ids)]
+    live = TwinWorld.wrap(topology.fabric, parent,
+                          rng=RandomStreams(seed).stream("live"),
+                          **params)
+    live.roll(1)
+    parent.drain(target)
+    live.roll(1)
+    parent.undrain(target)
+    live.roll(1)
 
-    def script(world):
-        world.roll(windows)
-        world.begin_maintenance(target, now=world.now)
-        world.roll(1)
-        world.repair_link(target, now=world.now)
-        results = world.roll(1)
-        return results[-1]
+    script = [
+        lambda world: world.roll(windows),
+        lambda world: world.begin_maintenance(target, now=world.now),
+        lambda world: world.roll(1),
+        lambda world: world.repair_link(target, now=world.now),
+        lambda world: world.roll(1),
+    ]
 
-    with TwinWorld.fork(topology_a.fabric, traffic_a,
-                        rng=RandomStreams(seed).stream("twin"),
-                        window_seconds=60.0, sample_seconds=1.0,
-                        flows_per_window=300) as forked:
-        fork_last = script(forked)
-        fork_stats = [(w.p99_fct, w.offered_bytes,
-                       w.congestion_lost_bytes, w.maintenance_active)
-                      for w in forked.windows]
-    wrapped = TwinWorld.wrap(topology_b.fabric, traffic_b,
-                             rng=RandomStreams(seed).stream("twin"),
-                             window_seconds=60.0, sample_seconds=1.0,
-                             flows_per_window=300)
-    wrap_last = script(wrapped)
-    wrap_stats = [(w.p99_fct, w.offered_bytes,
-                   w.congestion_lost_bytes, w.maintenance_active)
-                  for w in wrapped.windows]
+    def play(worlds):
+        """Step the script through ``worlds`` interleaved; per world,
+        every link's projection after every step, its last window, and
+        its window stats."""
+        projected = [[] for _ in worlds]
+        for step in script:
+            last = [step(world) for world in worlds]
+            for world, seen in zip(worlds, projected):
+                seen.append([
+                    world.traffic.projected_group_utilization(link_id)
+                    for link_id in link_ids])
+        stats = [[(w.p99_fct, w.offered_bytes, w.congestion_lost_bytes,
+                   w.maintenance_active) for w in world.windows]
+                 for world in worlds]
+        return zip(projected, [results[-1] for results in last], stats)
 
-    assert np.array_equal(fork_last.fct, wrap_last.fct,
-                          equal_nan=True)
-    assert np.array_equal(fork_last.offered, wrap_last.offered)
-    assert np.array_equal(fork_last.congestion, wrap_last.congestion)
-    for fork_window, wrap_window in zip(fork_stats, wrap_stats):
-        assert fork_window == wrap_window  # ==, not approx: bitwise
+    names = ("twin:a", "twin:b")
+    forks = [TwinWorld.fork(topology.fabric, parent,
+                            rng=RandomStreams(seed).stream(name),
+                            **params)
+             for name in names]
+    fork_runs = list(play(forks))
+    for fork in forks:
+        # The siblings ended on the warm parent's own resolution.
+        assert fork.traffic._resolution is parent._resolution
+        fork.close()
+
+    for name, (projected, last, stats) in zip(names, fork_runs):
+        cold_topology, cold_traffic = build()
+        rng = RandomStreams(seed).stream(name)
+        cold_traffic.rng = rng  # a fork draws retries from its stream
+        cold = TwinWorld.wrap(cold_topology.fabric, cold_traffic,
+                              rng=rng, **params)
+        [(cold_projected, cold_last, cold_stats)] = play([cold])
+        assert projected == cold_projected  # ==, not approx: bitwise
+        assert np.array_equal(last.fct, cold_last.fct, equal_nan=True)
+        assert np.array_equal(last.offered, cold_last.offered)
+        assert np.array_equal(last.congestion, cold_last.congestion)
+        assert stats == cold_stats

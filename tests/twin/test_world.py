@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from dcrobot.network.enums import LinkState
-from dcrobot.network.state import _COW_ATTRS
+from dcrobot.network.state import _COW_ATTRS, _CowColumn
 from dcrobot.network.switchgear import SwitchRole
 from dcrobot.sim.rng import RandomStreams
 from dcrobot.topology import build_fattree
@@ -167,6 +167,22 @@ def test_replace_cable_moves_smi_serviceability():
     assert tracker.report().factors["serviceability"] \
         == pytest.approx(before, abs=1e-12)
     tracker.close()
+
+
+@pytest.mark.parametrize("params,message", [
+    ({"window_seconds": 0.0}, "window_seconds must be > 0"),
+    ({"sample_seconds": 0.0}, "sample_seconds must be > 0"),
+    ({"flows_per_window": -5}, "flows_per_window must be >= 0"),
+])
+def test_fork_rejects_bad_window_parameters(params, message):
+    topology, traffic = make_world()
+    fs = topology.fabric.state
+    with pytest.raises(ValueError, match=message):
+        TwinWorld.fork(topology.fabric, traffic, **params)
+    # The failed fork released its shares: the parent's columns are
+    # plain arrays again, with no write barrier left behind.
+    assert not any(isinstance(getattr(fs, name), _CowColumn)
+                   for name in _COW_ATTRS)
 
 
 # -- rolling and predictions --------------------------------------------------

@@ -21,7 +21,7 @@ The facade has two distinct halves, and the service plane (S21,
   is read-only.  ``status()`` serves its link counts from the columnar
   :class:`~dcrobot.network.state.FabricState` state-code array (one
   vectorized comparison instead of a Python loop over every link
-  object); :meth:`status_scan` keeps the legacy full scan as the
+  object); :func:`full_scan_status` keeps the legacy full scan as the
   parity oracle, and the service plane's materialized
   :class:`~dcrobot.service.readmodel.ReadModel` turns repeated queries
   into O(1) snapshot reads.
@@ -126,11 +126,6 @@ class MaintenanceServiceAPI:
             links_down=links_down,
             links_total=links_total,
         )
-
-    def status_scan(self) -> MaintenanceStatus:
-        """The legacy full-scan status (parity oracle for
-        :meth:`status`)."""
-        return full_scan_status(self.controller)
 
     def incident_for(self, link_id: str):
         """The open incident on a link, if any."""

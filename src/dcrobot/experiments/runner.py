@@ -21,7 +21,7 @@ from dcrobot.core.automation import AutomationLevel, spec_for
 from dcrobot.core.controller import ControllerConfig, MaintenanceController
 from dcrobot.core.escalation import EscalationConfig, EscalationLadder
 from dcrobot.core.journal import WriteAheadJournal
-from dcrobot.core.leadership import FencingGuard, LeaseConfig, LeaseCoordinator
+from dcrobot.core.leadership import FencingGuard, LeaseCoordinator
 from dcrobot.core.recovery import ControllerSupervisor
 from dcrobot.core.policy import (
     NullPolicy,
@@ -34,7 +34,7 @@ from dcrobot.core.repairs import (
     ASSISTED_TECHNICIAN_SKILL,
     RepairPhysics,
 )
-from dcrobot.core.scheduler import ImpactAwareScheduler, SchedulerConfig
+from dcrobot.core.scheduler import ImpactAwareScheduler
 from dcrobot.failures.cascade import CascadeModel
 from dcrobot.failures.aging import OxidationAging
 from dcrobot.failures.dust import DustProcess
@@ -63,7 +63,6 @@ from dcrobot.robots.health import RobotHealthModel, RobotHealthParams
 from dcrobot.sim.batch import BatchTicker
 from dcrobot.sim.engine import Simulation
 from dcrobot.sim.rng import RandomStreams
-from dcrobot.telemetry.detectors import DetectorParams
 from dcrobot.telemetry.monitor import TelemetryMonitor
 from dcrobot.topology.base import SwitchRole, Topology
 from dcrobot.topology.fattree import build_fattree
@@ -73,10 +72,25 @@ from dcrobot.traffic.state import TrafficState
 
 DAY = 86400.0
 
+#: Cadence of the health tick, the telemetry poll and the safety check.
+SWEEP_SECONDS = 300.0
+#: Technicians on shift in every world that has human maintenance.
+TECHNICIANS = 4
+#: Spare stock: units per transceiver form factor, and cables.
+SPARE_TRANSCEIVERS = 500
+SPARE_CABLES = 200
+
 
 @dataclasses.dataclass
 class WorldConfig:
-    """Everything that defines one experiment run."""
+    """Everything that defines one experiment run.
+
+    Only knobs some caller sets are fields.  The sweep cadence, the
+    technician headcount and the spare stock are the module constants
+    above; every other tunable no caller varies (failure rates,
+    detector thresholds, scheduler, lease timing, traffic size and
+    pattern, boundary links) is its subsystem's own default.
+    """
 
     #: Builds the topology; receives an rng.
     topology_builder: Callable[..., Topology] = build_fattree
@@ -86,26 +100,18 @@ class WorldConfig:
     seed: int = 0
     #: Fault-rate multiplier over FailureRates defaults.
     failure_scale: float = 1.0
-    rates: Optional[FailureRates] = None
     #: Replay this exact fault campaign instead of live injection
     #: (fabric link ids must match, i.e. same topology seed).
     fault_trace: Optional[object] = None
     dust_rate_per_day: float = 0.004
     aging_rate_per_day: float = 0.002
     level: AutomationLevel = AutomationLevel.L0_NO_AUTOMATION
-    technicians: int = 4
     fleet_config: Optional[FleetConfig] = None
     #: "reactive" | "proactive" | "none", or a policy factory.
     policy: object = "reactive"
     proactive_trigger: int = 2
-    health_tick_seconds: float = 300.0
-    monitor_poll_seconds: float = 300.0
-    detector_params: Optional[DetectorParams] = None
     escalation: Optional[EscalationConfig] = None
     controller_config: Optional[ControllerConfig] = None
-    scheduler_config: Optional[SchedulerConfig] = None
-    spare_transceivers: int = 500
-    spare_cables: int = 200
     #: Maintenance-plane fault injection; ``None`` = no chaos.
     chaos: Optional[ChaosConfig] = None
     #: Telemetry mute TTL (lets dropped reports re-fire); ``None``
@@ -113,7 +119,6 @@ class WorldConfig:
     mute_ttl_seconds: Optional[float] = None
     #: Attach the invariant-checking safety monitor.
     safety: bool = False
-    safety_check_interval_seconds: float = 300.0
     #: A claim older than this is a leaked ("stuck") work order.
     stuck_after_seconds: float = 7.0 * DAY
     #: Give the controller a write-ahead journal (crash recoverability).
@@ -121,7 +126,6 @@ class WorldConfig:
     #: Lease-based active/standby failover with fencing tokens; implies
     #: a supervisor that promotes a successor when the lease expires.
     leadership: bool = False
-    lease_config: Optional[LeaseConfig] = None
     #: Attach the control-plane chaos injector (crash/pause/restart,
     #: rates from the chaos config).  Requires ``chaos``.
     controller_chaos: bool = False
@@ -140,13 +144,10 @@ class WorldConfig:
     #: pre-traffic world is byte-identical.
     traffic: bool = False
     traffic_window_seconds: float = 1800.0
-    traffic_flows_per_window: int = 500
     #: Accounting period per offered window (None = the cadence).
     traffic_sample_seconds: Optional[float] = None
-    #: Traffic-matrix shape (see :mod:`dcrobot.traffic.patterns`);
-    #: ``None`` = uniform.
-    traffic_pattern: Optional[object] = None
-    #: Time-varying ``(flow_count, pattern)`` schedule override.
+    #: Time-varying ``(flow_count, pattern)`` schedule; ``None`` offers
+    #: the driver's default flow count over a uniform matrix.
     traffic_schedule: Optional[Callable] = None
     #: ECMP path-table width (equal-cost paths kept per pair).
     traffic_max_equal_paths: int = 8
@@ -168,25 +169,14 @@ class WorldConfig:
     #: what :func:`build_world` assembles; >1 describes a campus of
     #: independent hall shards that :class:`dcrobot.shard.CampusWorld`
     #: composes behind this same config surface.  ``build_world``
-    #: itself always builds exactly one hall — the campus fields are
-    #: read by the shard layer, never here, so a ``halls=1`` campus is
-    #: bit-identical to the legacy world by construction.
+    #: itself always builds exactly one hall and rejects
+    #: ``hall_overrides``; the shard layer strips both per hall, so a
+    #: ``halls=1`` campus is bit-identical to the legacy world by
+    #: construction.
     halls: int = 1
     #: Per-hall field overrides (``{hall_id: {field: value}}``), e.g.
-    #: chaos or leadership on one hall only.  Ignored at halls == 1.
+    #: chaos or leadership on one hall only.  Requires halls > 1.
     hall_overrides: Optional[Dict[int, Dict]] = None
-    #: Cross-hall boundary-shard configuration (a
-    #: :class:`dcrobot.shard.BoundaryConfig`); ``None`` uses defaults.
-    #: Typed loosely to keep the runner free of shard imports.
-    boundary: Optional[object] = None
-    #: -- service plane (S21) -----------------------------------------
-    #: A :class:`dcrobot.service.ServiceConfig` when this world is
-    #: hosted behind :func:`dcrobot.service.serve_world`; ``None``
-    #: keeps the classic batch run.  Ignored by ``build_world`` /
-    #: ``run_world`` themselves (serving never changes sim outcomes),
-    #: read only by the service layer.  Typed loosely to keep the
-    #: runner free of service imports.
-    service: Optional[object] = None
 
     @property
     def horizon_seconds(self) -> float:
@@ -195,7 +185,13 @@ class WorldConfig:
 
 @dataclasses.dataclass
 class RunResult:
-    """The fully-run world plus measurement helpers."""
+    """A built world plus measurement helpers.
+
+    The measurements read the world as it stands, so a world run by
+    hand (``build_world`` then ``sim.run``) measures the same as one
+    from :func:`run_world`: spares consumed, for one, are the fabric's
+    own count of what it handed out.
+    """
 
     config: WorldConfig
     topology: Topology
@@ -208,8 +204,6 @@ class RunResult:
     controller: MaintenanceController
     humans: Optional[TechnicianPool]
     fleet: Optional[RobotFleet]
-    spares_consumed_transceivers: int = 0
-    spares_consumed_cables: int = 0
     chaos_engine: Optional[ChaosEngine] = None
     safety: Optional[SafetyMonitor] = None
     supervisor: Optional[ControllerSupervisor] = None
@@ -293,8 +287,8 @@ class RunResult:
             supervision_seconds=self.live_controller.supervision_seconds,
             robot_count=self.robot_count(),
             robot_busy_seconds=self.robot_busy_seconds(),
-            transceivers_consumed=self.spares_consumed_transceivers,
-            cables_consumed=self.spares_consumed_cables)
+            transceivers_consumed=self.fabric.spare_transceivers_taken,
+            cables_consumed=self.fabric.spare_cables_taken)
 
 
 def _make_policy(config: WorldConfig, topology: Topology):
@@ -316,13 +310,23 @@ def build_world(config: WorldConfig) -> RunResult:
         raise ValueError(
             f"build_world assembles exactly one hall; compose "
             f"halls={config.halls} with dcrobot.shard.CampusWorld")
+    # Cross-feature requirements, checked before anything is built.
+    if config.hall_overrides:
+        raise ValueError("hall_overrides requires halls > 1")
+    if config.impact is not None and not config.traffic:
+        raise ValueError("impact requires traffic")
+    if config.twin_planner is not None and not config.traffic:
+        raise ValueError("twin_planner requires traffic")
+    if config.controller_chaos and config.chaos is None:
+        raise ValueError("controller_chaos requires a chaos config")
+
     topology = config.topology_builder(
         rng=np.random.default_rng(config.seed + 1),
         **config.topology_kwargs)
     fabric = topology.fabric
     fabric.stock_spares(
-        {factor: config.spare_transceivers for factor in FormFactor},
-        cables=config.spare_cables)
+        {factor: SPARE_TRANSCEIVERS for factor in FormFactor},
+        cables=SPARE_CABLES)
 
     sim = Simulation()
     obs = NULL_OBS
@@ -335,13 +339,13 @@ def build_world(config: WorldConfig) -> RunResult:
     environment = Environment()
     health = HealthModel(
         fabric, environment,
-        params=HealthParams(tick_seconds=config.health_tick_seconds),
+        params=HealthParams(tick_seconds=SWEEP_SECONDS),
         rng=np.random.default_rng(config.seed + 2))
     cascade = CascadeModel(fabric, health, environment,
                            rng=np.random.default_rng(config.seed + 3))
     physics = RepairPhysics(fabric, health, cascade,
                             rng=np.random.default_rng(config.seed + 4))
-    rates = (config.rates or FailureRates()).scaled(config.failure_scale)
+    rates = FailureRates().scaled(config.failure_scale)
     injector = FaultInjector(fabric, health, rates=rates,
                              rng=np.random.default_rng(config.seed + 5))
     dust = DustProcess(fabric, health,
@@ -350,8 +354,7 @@ def build_world(config: WorldConfig) -> RunResult:
     aging = OxidationAging(fabric, health,
                            mean_rate_per_day=config.aging_rate_per_day,
                            rng=np.random.default_rng(config.seed + 9))
-    monitor = TelemetryMonitor(fabric, params=config.detector_params,
-                               poll_seconds=config.monitor_poll_seconds,
+    monitor = TelemetryMonitor(fabric, poll_seconds=SWEEP_SECONDS,
                                mute_ttl_seconds=config.mute_ttl_seconds,
                                obs=obs)
 
@@ -365,7 +368,7 @@ def build_world(config: WorldConfig) -> RunResult:
                 work_seconds={**params.work_seconds,
                               RepairAction.CLEAN: 15.0 * 60})
         humans = TechnicianPool(
-            sim, fabric, health, physics, count=config.technicians,
+            sim, fabric, health, physics, count=TECHNICIANS,
             params=params, rng=np.random.default_rng(config.seed + 7))
 
     fleet = None
@@ -404,8 +407,7 @@ def build_world(config: WorldConfig) -> RunResult:
     journal = WriteAheadJournal() if config.journal else None
     coordinator = None
     if config.leadership:
-        coordinator = LeaseCoordinator(config.lease_config, journal,
-                                       obs=obs)
+        coordinator = LeaseCoordinator(journal=journal, obs=obs)
         # Fencing guards live at the *real* executors (not the chaos
         # wrappers): physical intake is where split-brain must stop.
         for executor in (fleet, humans):
@@ -423,8 +425,6 @@ def build_world(config: WorldConfig) -> RunResult:
         traffic_driver = TrafficDriver(
             traffic, rng=np.random.default_rng(config.seed + 12),
             window_seconds=config.traffic_window_seconds,
-            flows_per_window=config.traffic_flows_per_window,
-            pattern=config.traffic_pattern,
             schedule=config.traffic_schedule,
             sample_seconds=config.traffic_sample_seconds)
         if config.impact is not None:
@@ -433,8 +433,6 @@ def build_world(config: WorldConfig) -> RunResult:
 
     twin_planner = None
     if config.twin_planner is not None:
-        if traffic is None:
-            raise ValueError("twin_planner requires traffic")
         twin_planner = TwinPlanner(
             fabric, traffic, traffic_driver,
             streams=RandomStreams(config.seed + 13),
@@ -442,8 +440,7 @@ def build_world(config: WorldConfig) -> RunResult:
             config=config.twin_planner, fleet=fleet)
 
     ladder = EscalationLadder(config.escalation)
-    scheduler = ImpactAwareScheduler(config=config.scheduler_config,
-                                     traffic=traffic)
+    scheduler = ImpactAwareScheduler(traffic=traffic)
     policy = _make_policy(config, topology)
     controller_config = config.controller_config or ControllerConfig()
 
@@ -468,7 +465,7 @@ def build_world(config: WorldConfig) -> RunResult:
                      if executor is not None]
         safety = SafetyMonitor(
             sim, controller, executors=executors,
-            check_interval_seconds=config.safety_check_interval_seconds,
+            check_interval_seconds=SWEEP_SECONDS,
             stuck_after_seconds=config.stuck_after_seconds).attach()
 
     supervisor = None
@@ -482,9 +479,8 @@ def build_world(config: WorldConfig) -> RunResult:
     # process, one heap event per boundary.  Health ticks immediately
     # on start; the rest sleep one period first.
     ticker = BatchTicker(sim)
-    ticker.add(health.tick_all, config.health_tick_seconds,
-               first_at=sim.now)
-    ticker.add(monitor.poll_all, config.monitor_poll_seconds)
+    ticker.add(health.tick_all, SWEEP_SECONDS, first_at=sim.now)
+    ticker.add(monitor.poll_all, SWEEP_SECONDS)
     ticker.add(dust.step_all, dust.tick_seconds)
     ticker.add(aging.step_all, aging.tick_seconds)
     sim.process(ticker.run(sim))
@@ -498,9 +494,6 @@ def build_world(config: WorldConfig) -> RunResult:
     if supervisor is not None:
         supervisor.start()
     if config.controller_chaos:
-        if chaos_engine is None or supervisor is None:
-            raise ValueError(
-                "controller_chaos requires a chaos config")
         chaos_engine.attach_supervisor(
             supervisor,
             check_seconds=config.controller_chaos_check_seconds)
@@ -521,15 +514,7 @@ def build_world(config: WorldConfig) -> RunResult:
 def run_world(config: WorldConfig) -> RunResult:
     """Build the stack and run it to the horizon."""
     result = build_world(config)
-    initial_transceivers = sum(
-        result.fabric.spare_transceivers.values())
-    initial_cables = result.fabric.spare_cables
     result.sim.run(until=config.horizon_seconds)
-    result.spares_consumed_transceivers = (
-        initial_transceivers
-        - sum(result.fabric.spare_transceivers.values()))
-    result.spares_consumed_cables = (initial_cables
-                                     - result.fabric.spare_cables)
     return result
 
 
@@ -719,8 +704,8 @@ def summarize_world(result: RunResult) -> WorldSummary:
                              if result.humans else 0),
         cost_total_usd=result.cost().total_usd,
         spares_consumed_transceivers=(
-            result.spares_consumed_transceivers),
-        spares_consumed_cables=result.spares_consumed_cables,
+            result.fabric.spare_transceivers_taken),
+        spares_consumed_cables=result.fabric.spare_cables_taken,
         link_count=result.topology.link_count,
         chaos_fault_counts=(result.chaos_engine.summary()
                             if result.chaos_engine else {}),

@@ -68,9 +68,12 @@ class Fabric:
         self._links_of_node: Dict[str, List[str]] = {}
         self._bundle_fill: Dict[str, Tuple[str, int]] = {}
 
-        #: Spare stock available to maintenance executors.
+        #: Spare stock available to maintenance executors, and how
+        #: much of it has been drawn (what a run consumed).
         self.spare_transceivers: Dict[FormFactor, int] = {}
         self.spare_cables: int = 0
+        self.spare_transceivers_taken: int = 0
+        self.spare_cables_taken: int = 0
 
     def __repr__(self) -> str:
         return (f"<Fabric switches={len(self.switches)} "
@@ -330,6 +333,7 @@ class Fabric:
         if self.spare_transceivers.get(form_factor, 0) <= 0:
             return None
         self.spare_transceivers[form_factor] -= 1
+        self.spare_transceivers_taken += 1
         return self.new_transceiver(form_factor, optical, install_time=now)
 
     def take_spare_cable(self, template: Cable,
@@ -338,6 +342,7 @@ class Fabric:
         if self.spare_cables <= 0:
             return None
         self.spare_cables -= 1
+        self.spare_cables_taken += 1
         gbps = template.core_count * 100
         return self.new_cable(template.kind, template.length_m, gbps,
                               install_time=now)

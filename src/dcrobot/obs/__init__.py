@@ -1,4 +1,4 @@
-"""Observability: tracing, metrics, export, and sim profiling.
+"""Observability: tracing, metrics, and export.
 
 The control plane is instrumented through one tiny facade,
 :class:`Observability`, which bundles a tracer and a metrics registry.

@@ -24,7 +24,6 @@ from dcrobot.service.readmodel import (
 )
 from dcrobot.service.server import (
     MaintenanceService,
-    ServedCampus,
     ServedWorld,
     ServiceConfig,
     ServiceOverloadError,
@@ -42,7 +41,6 @@ __all__ = [
     "ReadModelParityError",
     "ReadSnapshot",
     "RequestKind",
-    "ServedCampus",
     "ServedWorld",
     "ServiceConfig",
     "ServiceOverloadError",

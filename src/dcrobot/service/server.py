@@ -26,11 +26,10 @@ Separation of concerns, per the ISSUE's four layers:
 * **the wire** (``start_tcp``) is a minimal JSON-lines front door so
   "millions of users" is an actual socket, not a metaphor.
 
-:func:`serve_world` is the one-call entry point: it dispatches on
-``WorldConfig.halls`` to a :class:`ServedWorld` (one hall) or a
-:class:`ServedCampus` (one bridge over every hall shard's sim, then
-the normal S20 federation pass), reading service knobs from
-``WorldConfig.service``.
+:func:`serve_world` is the one-call entry point: it hosts any
+``WorldConfig``, one hall or a campus, as a :class:`ServedWorld` (one
+bridge over every hall shard's sim, then hall 0's summary or the
+normal S20 federation pass).
 """
 
 from __future__ import annotations
@@ -45,13 +44,7 @@ from typing import Deque, Dict, Optional, Tuple, Union
 from dcrobot.core.actions import Priority, RepairAction
 from dcrobot.core.api import MaintenanceServiceAPI, MaintenanceStatus
 from dcrobot.core.audit import AuthorizationError
-from dcrobot.experiments.runner import (
-    RunResult,
-    WorldConfig,
-    WorldSummary,
-    build_world,
-    summarize_world,
-)
+from dcrobot.experiments.runner import RunResult, WorldConfig, WorldSummary
 from dcrobot.obs.metrics import MetricsRegistry
 from dcrobot.service.admission import (
     AdmissionConfig,
@@ -64,11 +57,11 @@ from dcrobot.service.readmodel import (
     ReadModel,
     ReadModelParityError,
 )
+from dcrobot.shard.campus import CampusSummary, CampusWorld
 from dcrobot.topology.smi import SmiTracker, compute_smi
 
 __all__ = ["ServiceConfig", "ServiceOverloadError", "TelemetryReport",
-           "MaintenanceService", "ServedWorld", "ServedCampus",
-           "serve_world"]
+           "MaintenanceService", "ServedWorld", "serve_world"]
 
 #: SMI audit tolerance: incremental tracker vs full rescan.
 SMI_ATOL = 1e-12
@@ -449,141 +442,52 @@ class MaintenanceService:
 
 
 class ServedWorld:
-    """A single-hall world hosted behind a service plane.
+    """A world, one hall or a campus, hosted behind a service plane.
 
-    Build-time spares are captured here (not at serve time) and the
-    consumed-spares accounting is finalized once the horizon is
-    reached, mirroring :func:`~dcrobot.experiments.runner.run_world`
-    exactly — so ``summarize()`` of a served world is bit-identical to
-    ``summarize_world(run_world(config))`` for the same seed.
+    Every hall shard is assembled in-process (``CampusWorld.build``)
+    and stepped by one service plane.  At the horizon each shard is
+    finished as :meth:`~dcrobot.shard.hall.HallShard.run` finishes it,
+    so ``summarize()`` is bit-identical to the batch run: at one hall
+    the :class:`WorldSummary` of ``run_world``, otherwise the
+    :class:`~dcrobot.shard.campus.CampusSummary` of ``run_campus``.
     """
 
     def __init__(self, config: WorldConfig,
                  service: Optional[ServiceConfig] = None) -> None:
-        if config.halls != 1:
-            raise ValueError("ServedWorld hosts one hall; use "
-                             "ServedCampus for halls > 1")
         self.config = config
-        self.world = build_world(config)
-        self.smi_tracker = SmiTracker(self.world.topology)
-        self._initial_transceivers = sum(
-            self.world.fabric.spare_transceivers.values())
-        self._initial_cables = self.world.fabric.spare_cables
-        self._finalized = False
+        self.campus = CampusWorld(config).build()
+        shards = self.campus.shards
         self.service = MaintenanceService(
-            self.world, _resolve_service(config, service),
-            smi_trackers={0: self.smi_tracker})
+            {shard.hall_id: shard.result for shard in shards}, service,
+            smi_trackers={shard.hall_id: shard.smi_tracker
+                          for shard in shards})
 
     async def serve(self, until: Optional[float] = None) -> None:
         """Serve to ``until`` (default: the config horizon)."""
         if until is None:
             until = self.config.horizon_seconds
         await self.service.serve(until)
-        if until >= self.config.horizon_seconds \
-                and not self._finalized:
-            fabric = self.world.fabric
-            self.world.spares_consumed_transceivers = (
-                self._initial_transceivers
-                - sum(fabric.spare_transceivers.values()))
-            self.world.spares_consumed_cables = (
-                self._initial_cables - fabric.spare_cables)
-            self._finalized = True
+        if until >= self.config.horizon_seconds:
+            for shard in self.campus.shards:
+                # The serve window is shared by every hall; record it
+                # as each shard's run wall so campus telemetry stays
+                # honest about the single-loop mode.
+                shard.run_wall_seconds = self.service.bridge.wall_seconds
+                shard.finish()
 
-    def summarize(self) -> WorldSummary:
-        if not self._finalized:
+    def summarize(self) -> Union[WorldSummary, CampusSummary]:
+        """Hall 0's summary for one hall, else the federated campus
+        summary of the served run."""
+        hall0 = self.campus.shards[0]
+        if hall0.summary is None:
             raise RuntimeError("serve() to the horizon first")
-        return summarize_world(self.world)
-
-
-class ServedCampus:
-    """An S20 campus where every hall shard is served by one bridge.
-
-    All hall sims are assembled in-process (``CampusWorld.build``),
-    stepped cooperatively by a single service plane, then finalized
-    exactly the way :meth:`HallShard.run` would have (spares, SMI,
-    hall-stamped summary) before the normal federation pass produces
-    the :class:`~dcrobot.shard.campus.CampusSummary`.
-    """
-
-    def __init__(self, config: WorldConfig,
-                 service: Optional[ServiceConfig] = None) -> None:
-        from dcrobot.shard.campus import CampusWorld
-
-        if config.halls < 2:
-            raise ValueError("ServedCampus needs halls >= 2; use "
-                             "ServedWorld for a single hall")
-        self.config = config
-        self.campus = CampusWorld(config).build()
-        self._initial_spares: Dict[int, Tuple[int, int]] = {}
-        worlds: Dict[int, RunResult] = {}
-        trackers: Dict[int, SmiTracker] = {}
-        for shard in self.campus.shards:
-            worlds[shard.hall_id] = shard.result
-            trackers[shard.hall_id] = shard.smi_tracker
-            self._initial_spares[shard.hall_id] = (
-                sum(shard.result.fabric.spare_transceivers.values()),
-                shard.result.fabric.spare_cables)
-        self._finalized = False
-        self.service = MaintenanceService(
-            worlds, _resolve_service(config, service),
-            smi_trackers=trackers)
-
-    async def serve(self, until: Optional[float] = None) -> None:
-        if until is None:
-            until = self.config.horizon_seconds
-        await self.service.serve(until)
-        if until >= self.config.horizon_seconds \
-                and not self._finalized:
-            self._finalize()
-
-    def _finalize(self) -> None:
-        """Stamp each shard the way ``HallShard.run`` would have, so
-        ``campus.run()`` short-circuits to federation."""
-        wall = self.service.bridge.wall_seconds
-        for shard in self.campus.shards:
-            result = shard.result
-            transceivers, cables = self._initial_spares[shard.hall_id]
-            result.spares_consumed_transceivers = (
-                transceivers
-                - sum(result.fabric.spare_transceivers.values()))
-            result.spares_consumed_cables = (
-                cables - result.fabric.spare_cables)
-            # The serve window is shared by every hall; record it as
-            # each shard's run wall so campus telemetry stays honest
-            # about the single-loop mode.
-            shard.run_wall_seconds = wall
-            shard.smi = shard.smi_tracker.report().smi
-            shard.summary = dataclasses.replace(
-                summarize_world(result),
-                hall=shard.hall_id, halls=self.config.halls)
-        self._finalized = True
-
-    def summarize(self):
-        """The federated :class:`CampusSummary` for the served run."""
-        if not self._finalized:
-            raise RuntimeError("serve() to the horizon first")
+        if self.config.halls == 1:
+            return hall0.summary
         return self.campus.run()
 
 
-def _resolve_service(config: WorldConfig,
-                     service: Optional[ServiceConfig]) -> ServiceConfig:
-    if service is not None:
-        return service
-    configured = getattr(config, "service", None)
-    if configured is not None:
-        if not isinstance(configured, ServiceConfig):
-            raise TypeError("config.service must be a ServiceConfig")
-        return configured
-    return ServiceConfig()
-
-
 def serve_world(config: WorldConfig,
-                service: Optional[ServiceConfig] = None
-                ) -> Union[ServedWorld, ServedCampus]:
-    """Host ``config`` behind a service plane (halls decide the shape).
-
-    The service knobs come from ``service`` or ``config.service``
-    (defaulting to a stock :class:`ServiceConfig`)."""
-    if config.halls > 1:
-        return ServedCampus(config, service)
+                service: Optional[ServiceConfig] = None) -> ServedWorld:
+    """Host ``config`` behind a service plane configured by ``service``
+    (a stock :class:`ServiceConfig` when omitted)."""
     return ServedWorld(config, service)

@@ -35,7 +35,7 @@ from dcrobot.experiments.runner import (
     run_world,
     summarize_world,
 )
-from dcrobot.shard.boundary import BoundaryConfig, BoundaryShard
+from dcrobot.shard.boundary import BoundaryShard
 from dcrobot.shard.federation import (
     CampusFederation,
     FederationReport,
@@ -133,6 +133,8 @@ class CampusWorld:
     def __init__(self, config: WorldConfig) -> None:
         if config.halls < 1:
             raise ValueError("halls must be >= 1")
+        if config.hall_overrides and config.halls == 1:
+            raise ValueError("hall_overrides requires halls > 1")
         for hall_id in (config.hall_overrides or {}):
             if not 0 <= hall_id < config.halls:
                 raise ValueError(
@@ -143,10 +145,7 @@ class CampusWorld:
             HallShard(hall_id, hall_config(config, hall_id),
                       campus_halls=config.halls)
             for hall_id in range(config.halls)]
-        boundary_config = config.boundary or BoundaryConfig()
-        if not isinstance(boundary_config, BoundaryConfig):
-            raise TypeError("config.boundary must be a BoundaryConfig")
-        self.boundary = BoundaryShard(config.halls, boundary_config)
+        self.boundary = BoundaryShard(config.halls)
         self.federation = CampusFederation(
             self.boundary, seed=config.seed,
             horizon_seconds=config.horizon_seconds)

@@ -37,9 +37,10 @@ class Simulation:
         #: Observers invoked with ``now`` after every processed event
         #: (see :meth:`add_step_hook`); empty in normal operation.
         self._step_hooks: List[Callable[[float], None]] = []
-        #: Optional :class:`dcrobot.obs.profile.SimProfiler` (duck
-        #: typed: anything with ``record_event``/``record_callback``).
-        #: ``None`` keeps the hot path branch-predictable and free.
+        #: Optional step recorder (duck typed: anything with
+        #: ``record_event``/``record_callback``), e.g. the perf
+        #: ledger's tracer.  ``None`` keeps the hot path
+        #: branch-predictable and free.
         self.profiler = None
 
     def __repr__(self) -> str:

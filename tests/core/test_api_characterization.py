@@ -51,9 +51,7 @@ def test_status_matches_full_scan_after_eventful_run(eventful_world):
     """The vectorized status equals the legacy per-object scan,
     field for field, on a world where repairs actually happened."""
     api = MaintenanceServiceAPI(eventful_world.live_controller)
-    assert api.status() == api.status_scan()
-    assert api.status() == full_scan_status(
-        eventful_world.live_controller)
+    assert api.status() == full_scan_status(api.controller)
 
 
 def test_status_counts_known_down_links(quiet_world):
@@ -67,7 +65,7 @@ def test_status_counts_known_down_links(quiet_world):
         link.set_state(0.0, LinkState.DOWN)
     after = api.status()
     assert after.links_down == 3
-    assert after == api.status_scan()
+    assert after == full_scan_status(api.controller)
 
 
 def test_status_reports_controller_ledgers(eventful_world):

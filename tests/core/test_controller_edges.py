@@ -30,9 +30,13 @@ def test_attempt_budget_marks_unresolvable():
     world = build_world(WorldConfig(
         horizon_days=60.0, seed=42, failure_scale=0.0,
         dust_rate_per_day=0.0, aging_rate_per_day=0.0,
-        spare_transceivers=0, spare_cables=0,
         controller_config=ControllerConfig(
             verification_delay_seconds=300.0, max_attempts=3)))
+    # No spares.  Nothing draws one before sim.run, so emptying the
+    # stock here builds the same world as stocking none.
+    fabric = world.fabric
+    fabric.spare_transceivers = dict.fromkeys(fabric.spare_transceivers, 0)
+    fabric.spare_cables = 0
     link = list(world.fabric.links.values())[0]
     link.port_b.hw_fault = True  # only switchgear replacement fixes
     # Sabotage: switchgear "replacement" keeps failing because we

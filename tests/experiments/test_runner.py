@@ -1,10 +1,16 @@
 """Unit tests for the shared experiment world runner."""
 
+import dataclasses
+
 import pytest
 
 from dcrobot.core import AutomationLevel, NullPolicy, ProactivePolicy, ReactivePolicy
+from dcrobot.core.impact import ImpactConfig
+from dcrobot.core.planner import TwinPlannerConfig
 from dcrobot.experiments import WorldConfig, build_world, run_world
+from dcrobot.experiments.runner import summarize_world
 from dcrobot.robots import FleetConfig
+from dcrobot.shard import CampusWorld
 from dcrobot.topology.leafspine import build_leafspine
 
 DAY = 86400.0
@@ -81,18 +87,48 @@ def test_different_seed_differs():
 
 
 def test_spares_accounting():
-    result = run_world(WorldConfig(
+    config = WorldConfig(
         horizon_days=20.0, seed=3, failure_scale=5.0,
-        level=AutomationLevel.L3_HIGH_AUTOMATION))
+        level=AutomationLevel.L3_HIGH_AUTOMATION)
+    result = run_world(config)
     # Hardware deaths occurred, so some spares must have been drawn.
-    assert result.spares_consumed_transceivers >= 0
-    assert result.spares_consumed_cables >= 0
+    assert result.fabric.spare_transceivers_taken >= 0
+    assert result.fabric.spare_cables_taken >= 0
     total_hw_faults = sum(
         1 for fault in result.injector.log
         if fault.kind.value in ("transceiver", "cable"))
     if total_hw_faults:
-        assert (result.spares_consumed_transceivers
-                + result.spares_consumed_cables) > 0
+        assert (result.fabric.spare_transceivers_taken
+                + result.fabric.spare_cables_taken) > 0
+    # A world built and run by hand (as E14's trials do) summarizes
+    # exactly like run_world's, spares and cost included.
+    by_hand = build_world(config)
+    by_hand.sim.run(until=config.horizon_seconds)
+    assert dataclasses.asdict(summarize_world(by_hand)) == \
+        dataclasses.asdict(summarize_world(result))
+
+
+def _never_built(**_kwargs):
+    raise AssertionError("a rejected config got as far as building")
+
+
+@pytest.mark.parametrize("assemble, fields, message", [
+    (build_world, dict(twin_planner=TwinPlannerConfig()),
+     "twin_planner requires traffic"),
+    (build_world, dict(impact=ImpactConfig()), "impact requires traffic"),
+    (build_world, dict(controller_chaos=True),
+     "controller_chaos requires a chaos config"),
+    (build_world, dict(hall_overrides={0: {"failure_scale": 9.0}}),
+     "hall_overrides requires halls > 1"),
+    (CampusWorld, dict(hall_overrides={0: {"failure_scale": 9.0}}),
+     "hall_overrides requires halls > 1"),
+], ids=["twin_planner", "impact", "controller_chaos", "hall_overrides",
+        "campus_hall_overrides"])
+def test_cross_feature_checks_fail_before_building(assemble, fields,
+                                                   message):
+    config = WorldConfig(topology_builder=_never_built, **fields)
+    with pytest.raises(ValueError, match=message):
+        assemble(config)
 
 
 def test_cost_and_measurement_helpers():

@@ -20,7 +20,7 @@ def test_hall_zero_keeps_campus_seed():
     hall0 = hall_config(config, 0)
     assert hall0.seed == config.seed
     assert hall0.halls == 1
-    assert hall0.hall_overrides is None and hall0.boundary is None
+    assert hall0.hall_overrides is None
     # Everything else passes through untouched.
     assert hall0.horizon_days == config.horizon_days
     assert hall0.failure_scale == config.failure_scale

@@ -51,7 +51,7 @@ def main() -> None:
     environment = Environment()
     health = HealthModel(fabric, environment)
     cascade = CascadeModel(fabric, health, environment)
-    physics = RepairPhysics(fabric, health, cascade)
+    physics = RepairPhysics(fabric, cascade)
     fleet = RobotFleet(sim, fabric, health, physics,
                        config=FleetConfig(manipulators=2, cleaners=0),
                        rng=np.random.default_rng(2))

@@ -16,7 +16,6 @@ import numpy as np
 
 from dcrobot.core.actions import RepairAction
 from dcrobot.failures.cascade import CascadeModel, ContactProfile
-from dcrobot.failures.health import HealthModel
 from dcrobot.network.inventory import Fabric
 from dcrobot.network.link import Link
 
@@ -80,11 +79,9 @@ ROBOT_SKILL = SkillProfile(
 class RepairPhysics:
     """Executes the state mutations of each repair action."""
 
-    def __init__(self, fabric: Fabric, health: HealthModel,
-                 cascade: CascadeModel,
+    def __init__(self, fabric: Fabric, cascade: CascadeModel,
                  rng: Optional[np.random.Generator] = None) -> None:
         self.fabric = fabric
-        self.health = health
         self.cascade = cascade
         self.rng = rng if rng is not None else np.random.default_rng(0)
 

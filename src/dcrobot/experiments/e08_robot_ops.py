@@ -58,7 +58,7 @@ def _fresh_world(links: int, seed: int):
                          rng=np.random.default_rng(seed + 1))
     cascade = CascadeModel(fabric, health, environment,
                            rng=np.random.default_rng(seed + 2))
-    physics = RepairPhysics(fabric, health, cascade,
+    physics = RepairPhysics(fabric, cascade,
                             rng=np.random.default_rng(seed + 3))
     return sim, fabric, made, health, physics
 

@@ -343,15 +343,15 @@ def build_world(config: WorldConfig) -> RunResult:
         rng=np.random.default_rng(config.seed + 2))
     cascade = CascadeModel(fabric, health, environment,
                            rng=np.random.default_rng(config.seed + 3))
-    physics = RepairPhysics(fabric, health, cascade,
+    physics = RepairPhysics(fabric, cascade,
                             rng=np.random.default_rng(config.seed + 4))
     rates = FailureRates().scaled(config.failure_scale)
     injector = FaultInjector(fabric, health, rates=rates,
                              rng=np.random.default_rng(config.seed + 5))
-    dust = DustProcess(fabric, health,
+    dust = DustProcess(fabric,
                        mean_rate_per_day=config.dust_rate_per_day,
                        rng=np.random.default_rng(config.seed + 6))
-    aging = OxidationAging(fabric, health,
+    aging = OxidationAging(fabric,
                            mean_rate_per_day=config.aging_rate_per_day,
                            rng=np.random.default_rng(config.seed + 9))
     monitor = TelemetryMonitor(fabric, poll_seconds=SWEEP_SECONDS,

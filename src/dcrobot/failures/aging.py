@@ -13,14 +13,13 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from dcrobot.failures.health import HealthModel
 from dcrobot.network.inventory import Fabric
 
 
 class OxidationAging:
     """Per-transceiver heterogeneous oxidation growth."""
 
-    def __init__(self, fabric: Fabric, health: HealthModel,
+    def __init__(self, fabric: Fabric,
                  mean_rate_per_day: float = 0.002,
                  unit_sigma: float = 1.0,
                  tick_seconds: float = 6 * 3600.0,
@@ -30,7 +29,6 @@ class OxidationAging:
         if tick_seconds <= 0:
             raise ValueError("tick_seconds must be > 0")
         self.fabric = fabric
-        self.health = health
         self.mean_rate_per_day = mean_rate_per_day
         self.unit_sigma = unit_sigma
         self.tick_seconds = tick_seconds

@@ -14,14 +14,13 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from dcrobot.failures.health import HealthModel
 from dcrobot.network.inventory import Fabric
 
 
 class DustProcess:
     """Per-cable heterogeneous dust accumulation."""
 
-    def __init__(self, fabric: Fabric, health: HealthModel,
+    def __init__(self, fabric: Fabric,
                  mean_rate_per_day: float = 0.004,
                  hotspot_sigma: float = 1.2,
                  tick_seconds: float = 6 * 3600.0,
@@ -31,7 +30,6 @@ class DustProcess:
         if tick_seconds <= 0:
             raise ValueError("tick_seconds must be > 0")
         self.fabric = fabric
-        self.health = health
         self.mean_rate_per_day = mean_rate_per_day
         self.hotspot_sigma = hotspot_sigma
         self.tick_seconds = tick_seconds

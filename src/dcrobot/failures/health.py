@@ -11,15 +11,20 @@ maps to behaviour:
   whose tail-latency poison §1 describes;
 * above ``hard_down_threshold`` — persistent DOWN.
 
-The :class:`HealthModel` re-evaluates every link in one array sweep per
-tick (:meth:`HealthModel.tick_all`); maintenance executors consult it
-after repairs, and the cascade model injects disturbances through it.
+The physics is written once, as one kernel over a contiguous range of
+rows of the fabric's columnar state.  :meth:`HealthModel.tick_all`
+runs it on every row once per tick; the event-time callers (fault
+injection, the cascade, repair verification, release from
+maintenance) run it on the link's one row through
+:meth:`HealthModel.evaluate_link` and
+:meth:`HealthModel.impairment_score`.  The per-link object walk the
+kernel replaced is the test oracle in ``tests/oracles/sweeps.py``.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -69,86 +74,36 @@ class HealthModel:
         self.environment = environment
         self.params = params or HealthParams()
         self.rng = rng if rng is not None else np.random.default_rng(0)
-        #: Gilbert-Elliott phase for links not bound to the fabric's
-        #: columnar state (links ``disconnect`` has unbound); bound
-        #: links keep theirs in the registered column below.
-        self._bad_state: Dict[str, bool] = {}
-        self._disturbed_until: Dict[str, float] = {}
+        #: Gilbert-Elliott phase per row: True while in a bad episode.
         self._bad = fabric.state.add_link_column(False)
+        #: Disturbance expiry time per row (see :meth:`disturb`).
+        self._disturbed = fabric.state.add_link_column(0.0)
 
-    # -- Gilbert-Elliott phase storage ---------------------------------------
-
-    def _bad_row(self, link: Link) -> Optional[int]:
-        if link._fs is self.fabric.state:
-            return link._row
-        return None
-
-    def _get_bad(self, link: Link) -> bool:
-        row = self._bad_row(link)
+    def _row(self, link_id: str) -> int:
+        row = self.fabric.state.index_of.get(link_id)
         if row is None:
-            return self._bad_state.get(link.id, False)
-        return bool(self._bad.values[row])
-
-    def _set_bad(self, link: Link, value: bool) -> None:
-        row = self._bad_row(link)
-        if row is None:
-            self._bad_state[link.id] = value
-        else:
-            self._bad.values[row] = value
+            raise ValueError(
+                f"link {link_id} is not bound to this model's fabric")
+        return row
 
     # -- disturbance (cascade hook) ------------------------------------------
 
     def disturb(self, link_id: str, until: float) -> None:
         """Mark a link physically disturbed until the given time."""
-        current = self._disturbed_until.get(link_id, 0.0)
-        self._disturbed_until[link_id] = max(current, until)
+        row = self._row(link_id)
+        expiry = self._disturbed.values
+        expiry[row] = max(expiry[row], until)
 
     def is_disturbed(self, link_id: str, now: float) -> bool:
-        return self._disturbed_until.get(link_id, 0.0) > now
+        return bool(self._disturbed.values[self._row(link_id)] > now)
 
     # -- scoring -----------------------------------------------------------------
 
     def impairment_score(self, link: Link, now: float) -> float:
         """Physical impairment in [0, 1]; 1.0 means hard-down faults."""
-        if self._has_hard_fault(link):
-            return 1.0
-        if not self._physically_connected(link):
-            return 1.0
-
-        score = 0.0
-        oxidation = max(link.transceiver_a.oxidation,
-                        link.transceiver_b.oxidation)
-        score += max(0.0, oxidation - self.params.oxidation_onset)
-
-        dirt = link.cable.worst_contamination
-        for unit in link.transceivers():
-            if unit.receptacle is not None:
-                dirt = max(dirt, unit.receptacle.worst_contamination)
+        row = self._row(link.id)
         stress = self.environment.stress_multiplier(now)
-        score += max(0.0, dirt - IMPAIRMENT_THRESHOLD) * stress
-
-        if self.is_disturbed(link.id, now):
-            score += self.params.disturbance_score
-        return float(min(score, 1.0))
-
-    def _has_hard_fault(self, link: Link) -> bool:
-        if link.cable.damaged:
-            return True
-        for unit in link.transceivers():
-            if unit.hw_fault or unit.firmware_stuck:
-                return True
-        for port in link.ports():
-            if port.hw_fault:
-                return True
-        for end in (link.cable.end_a, link.cable.end_b):
-            if end is not None and end.scratched.any():
-                return True
-        return False
-
-    def _physically_connected(self, link: Link) -> bool:
-        if not (link.transceiver_a.seated and link.transceiver_b.seated):
-            return False
-        return link.cable.attached_a and link.cable.attached_b
+        return float(self._scores(slice(row, row + 1), now, stress)[0])
 
     def marginal_loss(self, score: float) -> float:
         """Packet-loss probability for a marginal link in its good phase.
@@ -167,48 +122,9 @@ class HealthModel:
     # -- state machine ---------------------------------------------------------------
 
     def evaluate_link(self, link: Link, now: float) -> None:
-        """Re-derive one link's state from its physical condition."""
-        if link.state is LinkState.MAINTENANCE:
-            return
-        params = self.params
-        score = self.impairment_score(link, now)
-
-        if score >= params.hard_down_threshold:
-            link.loss_rate = 1.0
-            link.set_state(now, LinkState.DOWN)
-            self._set_bad(link, True)
-            return
-
-        if score < params.marginal_threshold:
-            link.loss_rate = params.base_loss
-            link.set_state(now, LinkState.UP)
-            self._set_bad(link, False)
-            return
-
-        # Marginal band: Gilbert-Elliott oscillation.
-        severity = ((score - params.marginal_threshold)
-                    / (params.hard_down_threshold
-                       - params.marginal_threshold))
-        stress = self.environment.stress_multiplier(now)
-        in_bad = self._get_bad(link)
-        if in_bad:
-            if self.rng.random() < params.flap_b2g_per_tick:
-                in_bad = False
-        else:
-            p_fail = min(0.95, params.flap_g2b_per_tick
-                         * (0.25 + severity) * stress)
-            if self.rng.random() < p_fail:
-                in_bad = True
-        self._set_bad(link, in_bad)
-        if in_bad:
-            link.loss_rate = 1.0
-            link.set_state(now, LinkState.DOWN)
-        else:
-            # Good phase of a marginal link: carries traffic with elevated
-            # loss.  The repeated UP<->DOWN transitions are what the flap
-            # detector in telemetry classifies as "flapping".
-            link.loss_rate = self.marginal_loss(score)
-            link.set_state(now, LinkState.UP)
+        """Re-derive one link's state: the kernel on the link's row."""
+        row = self._row(link.id)
+        self._evaluate(slice(row, row + 1), now)
 
     def begin_maintenance(self, link: Link, now: float) -> None:
         """Administratively take a link out of service for repair."""
@@ -217,19 +133,61 @@ class HealthModel:
 
     def release_from_maintenance(self, link: Link, now: float) -> None:
         """Return a link to service and immediately re-derive its state."""
+        row = self._row(link.id)
         link.set_state(now, LinkState.UP)
-        self._set_bad(link, False)
-        self.evaluate_link(link, now)
-
-    # -- vectorized sweep ------------------------------------------------------
+        self._bad.values[row] = False
+        self._evaluate(slice(row, row + 1), now)
 
     def tick_all(self, now: float) -> None:
-        """Re-evaluate every link in one array sweep.
+        """Re-evaluate every link: the one kernel, on all rows at once.
 
-        Bit-identical to ``health_tick`` in ``tests/oracles/sweeps.py``,
-        which calls :meth:`evaluate_link` on every link in
-        ``fabric.links`` order: scores and masks are computed
-        columnarily, the Gilbert-Elliott draws are batched in that order
+        :meth:`evaluate_link` runs the same kernel on one row.  Both are
+        bit-identical to the per-link object walk the kernel replaced,
+        now the test oracle in ``tests/oracles/sweeps.py``
+        (``health_tick`` evaluates every link in ``fabric.links`` order).
+        """
+        self._evaluate(slice(0, self.fabric.state.n_links), now)
+
+    # -- the kernel ------------------------------------------------------------
+
+    def _scores(self, rows: slice, now: float,
+                stress: float) -> np.ndarray:
+        """Impairment scores of a contiguous row range, in [0, 1].
+
+        The terms are added in the order the object walk adds them, so
+        every score is the same float.
+        """
+        state = self.fabric.state
+        params = self.params
+        hard_fault = (
+            state.cable_damaged[rows]
+            | state.unit_hw_fault[0, rows] | state.unit_hw_fault[1, rows]
+            | state.unit_fw_stuck[0, rows] | state.unit_fw_stuck[1, rows]
+            | state.port_hw_fault[0, rows] | state.port_hw_fault[1, rows]
+            | state.cable_end_scratched[0, rows]
+            | state.cable_end_scratched[1, rows]
+            | ~state.seated[0, rows] | ~state.seated[1, rows]
+            | ~state.cable_attached[0, rows]
+            | ~state.cable_attached[1, rows])
+
+        oxidation = np.maximum(state.ox[0, rows], state.ox[1, rows])
+        score = np.maximum(0.0, oxidation - params.oxidation_onset)
+        dirt = np.maximum(
+            np.maximum(state.cable_end_worst[0, rows],
+                       state.cable_end_worst[1, rows]),
+            np.maximum(state.recept_worst[0, rows],
+                       state.recept_worst[1, rows]))
+        score = score + np.maximum(0.0, dirt - IMPAIRMENT_THRESHOLD) * stress
+        score[self._disturbed.values[rows] > now] += params.disturbance_score
+        score = np.minimum(score, 1.0)
+        score[hard_fault] = 1.0
+        return score
+
+    def _evaluate(self, rows: slice, now: float) -> None:
+        """Re-derive the state of a contiguous row range.
+
+        ``rows`` is a slice, so every column below is a view.  The
+        Gilbert-Elliott draws are batched in ``fabric.links`` order
         (``rng.random(k)`` consumes the stream exactly like ``k``
         sequential scalar draws), and the good-phase marginal loss is
         computed with scalar Python pow over the (small) marginal subset
@@ -237,57 +195,30 @@ class HealthModel:
         power :meth:`marginal_loss` uses.
         """
         state = self.fabric.state
-        n = state.n_links
-        if n == 0:
-            return
         params = self.params
-
-        code = state.state_code[:n]
-        active = code != MAINTENANCE_CODE
-        hard_fault = (
-            state.cable_damaged[:n]
-            | state.unit_hw_fault[0, :n] | state.unit_hw_fault[1, :n]
-            | state.unit_fw_stuck[0, :n] | state.unit_fw_stuck[1, :n]
-            | state.port_hw_fault[0, :n] | state.port_hw_fault[1, :n]
-            | state.cable_end_scratched[0, :n]
-            | state.cable_end_scratched[1, :n]
-            | ~state.seated[0, :n] | ~state.seated[1, :n]
-            | ~state.cable_attached[0, :n] | ~state.cable_attached[1, :n])
-
+        start = rows.start
         stress = self.environment.stress_multiplier(now)
-        oxidation = np.maximum(state.ox[0, :n], state.ox[1, :n])
-        score = np.maximum(0.0, oxidation - params.oxidation_onset)
-        dirt = np.maximum(
-            np.maximum(state.cable_end_worst[0, :n],
-                       state.cable_end_worst[1, :n]),
-            np.maximum(state.recept_worst[0, :n],
-                       state.recept_worst[1, :n]))
-        score = score + np.maximum(0.0, dirt - IMPAIRMENT_THRESHOLD) * stress
-        for link_id, until in self._disturbed_until.items():
-            if until > now:
-                row = state.index_of.get(link_id)
-                if row is not None:
-                    score[row] += params.disturbance_score
-        score = np.minimum(score, 1.0)
-        score[hard_fault] = 1.0
+        score = self._scores(rows, now, stress)
 
+        code = state.state_code[rows]
+        active = code != MAINTENANCE_CODE
         hard_down = active & (score >= params.hard_down_threshold)
         clean = active & (score < params.marginal_threshold)
         marginal = active & ~hard_down & ~clean
 
-        bad = self._bad.values
+        bad = self._bad.values[rows]
         new_code = code.copy()
         new_code[hard_down] = DOWN_CODE
         new_code[clean] = UP_CODE
-        bad[:n][hard_down] = True
-        bad[:n][clean] = False
+        bad[hard_down] = True
+        bad[clean] = False
 
-        loss = state.loss_rate[:n]
+        loss = state.loss_rate[rows]
         loss[hard_down] = 1.0
         loss[clean] = params.base_loss
 
         marginal_rows = state.rows_in_insertion_order(
-            np.nonzero(marginal)[0])
+            np.nonzero(marginal)[0] + start) - start
         if marginal_rows.size:
             draws = self.rng.random(marginal_rows.size)
             severity = ((score[marginal_rows] - params.marginal_threshold)
@@ -307,7 +238,7 @@ class HealthModel:
                     loss[row] = self.marginal_loss(float(score[row]))
 
         changed = state.rows_in_insertion_order(
-            np.nonzero(active & (new_code != code))[0])
+            np.nonzero(active & (new_code != code))[0] + start)
         links_by_row = state.links_by_row
         for row in changed:
-            links_by_row[row].set_state(now, STATE_OF[new_code[row]])
+            links_by_row[row].set_state(now, STATE_OF[new_code[row - start]])

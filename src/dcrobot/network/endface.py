@@ -70,10 +70,6 @@ class EndFace:
         return float(self.contamination.max())
 
     @property
-    def mean_contamination(self) -> float:
-        return float(self.contamination.mean())
-
-    @property
     def impaired(self) -> bool:
         """True if dirt is bad enough to affect the optical link budget."""
         return (self.worst_contamination > IMPAIRMENT_THRESHOLD

@@ -108,9 +108,6 @@ class HallLayout:
         """
         return abs(origin.x - target.x) + abs(origin.y - target.y)
 
-    def row_of(self, rack_id: str) -> int:
-        return self.racks[rack_id].row
-
     def racks_in_row(self, row: int) -> List[Rack]:
         if not 0 <= row < self.rows:
             raise ValueError(f"row {row} outside 0..{self.rows - 1}")

@@ -98,14 +98,6 @@ class Link:
     def transceivers(self) -> Tuple[Transceiver, Transceiver]:
         return (self.transceiver_a, self.transceiver_b)
 
-    def side_of_port(self, port_id: str) -> str:
-        """'a' or 'b' for the given port id."""
-        if port_id == self.port_a.id:
-            return "a"
-        if port_id == self.port_b.id:
-            return "b"
-        raise ValueError(f"port {port_id} not on link {self.id}")
-
     def transceiver_at(self, side: str) -> Transceiver:
         return {"a": self.transceiver_a, "b": self.transceiver_b}[side]
 

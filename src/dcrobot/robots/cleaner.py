@@ -138,13 +138,3 @@ class CleaningRobot(RobotUnit):
             return True, f"cleaned and verified side {side}"
         return False, (f"side {side} failed verification after "
                        f"{params.skill.max_clean_rounds} rounds")
-
-    def clean_link(self, link: Link):
-        """Generator: clean both ends; success requires both verified."""
-        notes = []
-        all_ok = True
-        for side in ("a", "b"):
-            ok, note = yield from self.clean_cycle(link, side)
-            notes.append(note)
-            all_ok = all_ok and ok
-        return all_ok, "; ".join(notes)

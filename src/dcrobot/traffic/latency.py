@@ -17,7 +17,7 @@ measured FCT distributions.
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -87,11 +87,6 @@ class LatencyModel:
         retries = min(retries,
                       packets * self.params.max_retries_per_packet)
         return base + retries * self.params.retransmission_timeout_seconds
-
-    def sample_many(self, flows_and_paths) -> List[float]:
-        """FCT samples for an iterable of (flow, path) pairs."""
-        return [self.sample_fct(flow, path)
-                for flow, path in flows_and_paths]
 
 
 def congestion_loss(offered_bytes, capacity_gbps,

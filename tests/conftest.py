@@ -57,7 +57,7 @@ def make_world(links=4, seed=17, kind=CableKind.MPO, rows=1,
                          rng=np.random.default_rng(seed + 1))
     cascade = CascadeModel(fabric, health, environment,
                            rng=np.random.default_rng(seed + 2))
-    physics = RepairPhysics(fabric, health, cascade,
+    physics = RepairPhysics(fabric, cascade,
                             rng=np.random.default_rng(seed + 3))
     return World(sim=sim, fabric=fabric, links=made,
                  environment=environment, health=health, cascade=cascade,

@@ -4,25 +4,41 @@ Two identical k=4 fat trees, built from one seed, receive the same
 hypothesis-drawn script of physical mutations.  Tree A runs the batch
 kernels (``HealthModel.tick_all``, ``TelemetryMonitor.poll_all``,
 ``DustProcess.step_all``, ``OxidationAging.step_all``); tree B runs the
-per-link oracles in :mod:`tests.oracles.sweeps`.  After every tick the
-trees must agree bit for bit: fabric columns, Gilbert-Elliott phases,
-RNG states, detections, delivered events, and the monitor's mute
-table.  The scripts reach fault states the pinned parity worlds do
-not: maintenance windows, detached cables, disturbances, scratched
-faces, and mute-TTL expiries.
+per-link oracles in :mod:`tests.oracles.sweeps`.  Tree B's health model
+also has the oracle's object walk bound in place of its event-time
+methods (``evaluate_link``, ``impairment_score``,
+``release_from_maintenance``), so the same fault-injector, cascade and
+release calls run the health kernel on one row in tree A and the walk
+in tree B.  After every tick the trees must agree bit for bit: fabric
+columns, Gilbert-Elliott phases, every link's impairment score, RNG
+states, detections, delivered events, and the monitor's mute table.
+The scripts reach fault states the pinned parity worlds do not:
+maintenance windows, detached cables, disturbances, scratched faces,
+and mute-TTL expiries.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import types
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dcrobot.failures import Environment, HealthModel
+from dcrobot.failures import (
+    HUMAN_HANDS,
+    ROBOT_GRIPPER,
+    CascadeModel,
+    ContactProfile,
+    Environment,
+    FaultInjector,
+    HealthModel,
+)
 from dcrobot.failures.aging import OxidationAging
 from dcrobot.failures.dust import DustProcess
+from dcrobot.network import DegradationKind
 from dcrobot.telemetry import TelemetryMonitor
 from dcrobot.topology import build_fattree
 
@@ -42,13 +58,24 @@ COLUMNS = ("state_code", "loss_rate", "ox", "cable_end_worst",
 OPS = ("unseat", "seat", "hw_fault", "fw_stuck", "port_fault",
        "cable_damage", "scratch", "end_dirt", "recept_dirt", "oxidize",
        "detach", "attach", "disturb", "begin_maintenance",
-       "release_maintenance")
+       "release_maintenance", "evaluate", "inject", "touch")
 
-#: One mutation: (tick, op, link index, side, magnitude in [0, 1]).
+#: Contact profiles for ``touch``: the two shipped ones, plus one that
+#: contacts, disturbs and damages often enough to matter in 42 ticks.
+PROFILES = (HUMAN_HANDS, ROBOT_GRIPPER,
+            ContactProfile(neighbor_contact_fraction=0.8,
+                           transient_probability=0.6,
+                           damage_probability=0.3,
+                           disturbance_duration=900.0,
+                           vibration_magnitude=0.5))
+
+#: One mutation: (tick, op, link index, side, magnitude in [0, 1],
+#: fault kind for ``inject``, contact profile for ``touch``).
 STEPS = st.lists(
     st.tuples(st.integers(0, TICKS - 1), st.sampled_from(OPS),
               st.integers(0, LINKS - 1), st.sampled_from("ab"),
-              st.floats(0.0, 1.0, allow_nan=False)),
+              st.floats(0.0, 1.0, allow_nan=False),
+              st.sampled_from(DegradationKind), st.sampled_from(PROFILES)),
     max_size=24)
 
 
@@ -58,6 +85,8 @@ class Tree:
     dust: DustProcess
     aging: OxidationAging
     monitor: TelemetryMonitor
+    injector: FaultInjector
+    cascade: CascadeModel
     heard: list
 
     @property
@@ -68,21 +97,36 @@ class Tree:
 def _tree(seed: int) -> Tree:
     fabric = build_fattree(k=4, rng=np.random.default_rng(seed)).fabric
     assert len(fabric.links) == LINKS
-    health = HealthModel(fabric, Environment(),
+    environment = Environment()
+    health = HealthModel(fabric, environment,
                          rng=np.random.default_rng(seed + 1))
-    dust = DustProcess(fabric, health, mean_rate_per_day=0.3,
+    dust = DustProcess(fabric, mean_rate_per_day=0.3,
                        rng=np.random.default_rng(seed + 2))
-    aging = OxidationAging(fabric, health, mean_rate_per_day=0.1,
+    aging = OxidationAging(fabric, mean_rate_per_day=0.1,
                            rng=np.random.default_rng(seed + 3))
     monitor = TelemetryMonitor(fabric, poll_seconds=TICK_SECONDS,
                                mute_ttl_seconds=MUTE_TTL_SECONDS)
+    injector = FaultInjector(fabric, health,
+                             rng=np.random.default_rng(seed + 4))
+    cascade = CascadeModel(fabric, health, environment,
+                           rng=np.random.default_rng(seed + 5))
     heard: list = []
     monitor.subscribe(heard.append)
-    return Tree(health, dust, aging, monitor, heard)
+    return Tree(health, dust, aging, monitor, injector, cascade, heard)
+
+
+def _oracle_tree(seed: int) -> Tree:
+    """A tree whose health model evaluates links by the object walk."""
+    tree = _tree(seed)
+    health = tree.health
+    for name in ("evaluate_link", "impairment_score",
+                 "release_from_maintenance"):
+        setattr(health, name, types.MethodType(getattr(sweeps, name), health))
+    return tree
 
 
 def _apply(tree: Tree, step, now: float) -> None:
-    _tick, op, index, side, magnitude = step
+    _tick, op, index, side, magnitude, kind, profile = step
     link = list(tree.fabric.links.values())[index]
     unit = link.transceiver_a if side == "a" else link.transceiver_b
     port = link.port_a if side == "a" else link.port_b
@@ -118,9 +162,16 @@ def _apply(tree: Tree, step, now: float) -> None:
         tree.health.begin_maintenance(link, now)
     elif op == "release_maintenance":
         tree.health.release_from_maintenance(link, now)
+    elif op == "evaluate":
+        tree.health.evaluate_link(link, now)
+    elif op == "inject":
+        tree.injector.inject(kind, link, now)
+    elif op == "touch":
+        tree.cascade.touch(link, profile, now)
 
 
-def _assert_same(kernel: Tree, oracle: Tree, tick: int) -> None:
+def _assert_same(kernel: Tree, oracle: Tree, tick: int,
+                 now: float) -> None:
     left, right = kernel.fabric.state, oracle.fabric.state
     n = left.n_links
     for name in COLUMNS:
@@ -130,7 +181,12 @@ def _assert_same(kernel: Tree, oracle: Tree, tick: int) -> None:
     np.testing.assert_array_equal(
         kernel.health._bad.values[:n], oracle.health._bad.values[:n],
         err_msg=f"Gilbert-Elliott phase diverged at tick {tick}")
-    for name in ("health", "dust", "aging"):
+    for link, twin in zip(kernel.fabric.links.values(),
+                          oracle.fabric.links.values()):
+        assert (kernel.health.impairment_score(link, now)
+                == oracle.health.impairment_score(twin, now)), (
+            f"impairment score of {link.id} diverged at tick {tick}")
+    for name in ("health", "dust", "aging", "injector", "cascade"):
         assert (getattr(kernel, name).rng.bit_generator.state
                 == getattr(oracle, name).rng.bit_generator.state), (
             f"{name} RNG diverged at tick {tick}")
@@ -141,15 +197,38 @@ def _assert_same(kernel: Tree, oracle: Tree, tick: int) -> None:
             == oracle.monitor.detector._lossy_since), tick
 
 
+def _step(tick, op, index, side="a", magnitude=0.0,
+          kind=DegradationKind.OXIDATION, profile=HUMAN_HANDS):
+    return (tick, op, index, side, magnitude, kind, profile)
+
+
+def _stale_phase_release(index):
+    """Oxidize, then unseat: the link goes hard-down in the bad phase.
+    Repair it to the marginal band under maintenance and release it;
+    release must start the flapping chain from the good phase."""
+    return [_step(0, "oxidize", index, magnitude=0.6),
+            _step(0, "unseat", index),
+            _step(1, "begin_maintenance", index),
+            _step(2, "seat", index),
+            _step(2, "oxidize", index, magnitude=0.6),
+            _step(3, "release_maintenance", index)]
+
+
 @given(seed=st.integers(0, 2**16), script=STEPS)
 # A muted link that recovers before its TTL expires is touched by no
 # prefilter row but the TTL one: unseat, wait for the detection at
 # t=900, then seat; the mute expires at t=2100 with the link UP.
-@example(seed=0, script=[(0, "unseat", 0, "a", 0.0),
-                         (20, "seat", 0, "a", 0.0)])
+@example(seed=0, script=[_step(0, "unseat", 0), _step(20, "seat", 0)])
+# Event-time evaluation leaves a link under maintenance alone, and
+# release clears the Gilbert-Elliott phase it went in with.
+@example(seed=0, script=[
+    _step(0, "begin_maintenance", 4), _step(1, "evaluate", 4),
+    _step(1, "inject", 4, kind=DegradationKind.FIRMWARE_STUCK),
+    *_stale_phase_release(0), *_stale_phase_release(1),
+    *_stale_phase_release(2)])
 @settings(max_examples=60, deadline=None)
 def test_batch_kernels_match_per_link_oracles(seed, script):
-    kernel, oracle = _tree(seed), _tree(seed)
+    kernel, oracle = _tree(seed), _oracle_tree(seed)
     for tick in range(TICKS):
         now = tick * TICK_SECONDS
         for step in script:
@@ -165,4 +244,16 @@ def test_batch_kernels_match_per_link_oracles(seed, script):
             sweeps.dust_tick(oracle.dust, now)
             kernel.aging.step_all(now)
             sweeps.aging_tick(oracle.aging, now)
-        _assert_same(kernel, oracle, tick)
+        _assert_same(kernel, oracle, tick, now)
+
+
+def test_event_time_evaluation_rejects_unbound_links():
+    tree = _tree(0)
+    link = next(iter(tree.fabric.links.values()))
+    tree.fabric.disconnect(link.id)
+    with pytest.raises(ValueError, match=link.id):
+        tree.health.evaluate_link(link, 0.0)
+    with pytest.raises(ValueError, match=link.id):
+        tree.health.impairment_score(link, 0.0)
+    with pytest.raises(ValueError, match=link.id):
+        tree.health.disturb(link.id, 600.0)

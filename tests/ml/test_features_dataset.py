@@ -62,8 +62,7 @@ def test_feature_matrix(world):
 # -- dust ------------------------------------------------------------------
 
 def test_dust_accumulates_only_on_separable(world):
-    dust = DustProcess(world.fabric, world.health,
-                       mean_rate_per_day=0.5,
+    dust = DustProcess(world.fabric, mean_rate_per_day=0.5,
                        rng=np.random.default_rng(3))
     for day in range(10):
         dust.step_all(day * 86400.0)
@@ -72,7 +71,7 @@ def test_dust_accumulates_only_on_separable(world):
 
 
 def test_dust_hotspots_are_heterogeneous(world):
-    dust = DustProcess(world.fabric, world.health, hotspot_sigma=1.5,
+    dust = DustProcess(world.fabric, hotspot_sigma=1.5,
                        rng=np.random.default_rng(4))
     factors = [dust.factor_for(link.cable.id) for link in world.links]
     assert max(factors) > 2 * min(factors)
@@ -82,9 +81,9 @@ def test_dust_hotspots_are_heterogeneous(world):
 
 def test_dust_validation(world):
     with pytest.raises(ValueError):
-        DustProcess(world.fabric, world.health, mean_rate_per_day=-1)
+        DustProcess(world.fabric, mean_rate_per_day=-1)
     with pytest.raises(ValueError):
-        DustProcess(world.fabric, world.health, tick_seconds=0)
+        DustProcess(world.fabric, tick_seconds=0)
 
 
 # -- dataset -----------------------------------------------------------------
@@ -137,8 +136,8 @@ def test_end_to_end_prediction_beats_chance():
     collector = DatasetCollector(world.fabric, extractor,
                                  snapshot_interval=6 * HOUR,
                                  horizon_seconds=48 * HOUR)
-    dust = DustProcess(world.fabric, world.health,
-                       mean_rate_per_day=0.02, hotspot_sigma=1.2,
+    dust = DustProcess(world.fabric, mean_rate_per_day=0.02,
+                       hotspot_sigma=1.2,
                        rng=np.random.default_rng(6))
     sim = world.sim
     start_sweeps(sim, health=world.health, dust=dust)

@@ -13,7 +13,6 @@ not by timing, on a k=8 fat tree:
 import numpy as np
 import pytest
 
-from dcrobot.failures import Environment, HealthModel
 from dcrobot.failures.dust import DustProcess
 from dcrobot.network.endface import EndFace
 from dcrobot.topology import build_fattree
@@ -27,9 +26,7 @@ def fabric():
 def test_dust_step_makes_no_full_face_reductions(fabric, monkeypatch):
     state = fabric.state
     assert state.cleanable[:state.n_links].any()
-    health = HealthModel(fabric, Environment(diurnal_amplitude_c=0.0),
-                         rng=np.random.default_rng(4))
-    dust = DustProcess(fabric, health, rng=np.random.default_rng(5))
+    dust = DustProcess(fabric, rng=np.random.default_rng(5))
     before = state.cable_end_worst[:, :state.n_links].copy()
     calls = []
     push_mirror = EndFace._push_mirror

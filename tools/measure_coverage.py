@@ -32,6 +32,7 @@ TARGETS = ("src/dcrobot/core", "src/dcrobot/chaos",
            "src/dcrobot/obs", "src/dcrobot/traffic",
            "src/dcrobot/twin", "src/dcrobot/robots",
            "src/dcrobot/shard", "src/dcrobot/service",
+           "src/dcrobot/failures",
            "src/dcrobot/network/state.py",
            "src/dcrobot/telemetry/detectors.py",
            "src/dcrobot/metrics/mttr.py")

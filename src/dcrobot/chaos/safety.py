@@ -20,6 +20,11 @@ violation, not one per step) as structured
 :class:`InvariantViolation` records.  A separate *gauge* counts stuck
 work orders — claims older than ``stuck_after_seconds`` — which is the
 signature failure of the naive (no-timeout) controller under ack loss.
+
+Each check costs O(change), not O(fabric + every incident ever
+opened): maintenance orphans come from the ``MAINTENANCE_CODE`` rows
+of the columnar state, and the escalation audit visits only open
+incidents plus those concluded since the previous check.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from dcrobot.network.enums import LinkState
+from dcrobot.network.state import MAINTENANCE_CODE
 
 
 @dataclasses.dataclass(frozen=True)
@@ -55,7 +60,13 @@ class SafetyReport:
 
 
 class SafetyMonitor:
-    """Audits control-plane invariants as the simulation runs."""
+    """Audits control-plane invariants as the simulation runs.
+
+    A check costs O(change): the orphan audit reads the maintenance
+    rows of the columnar state, and the escalation audit visits the
+    open incidents plus those concluded since the previous check, each
+    from its audited-history cursor.
+    """
 
     MAINTENANCE_ORPHAN = "maintenance-orphan"
     DOUBLE_OWNER = "double-owner"
@@ -83,8 +94,13 @@ class SafetyMonitor:
         self.violations: List[InvariantViolation] = []
         #: Currently-violating (kind, target) pairs, for onset dedup.
         self._active_keys: Set[Tuple[str, str]] = set()
-        #: Attempt-history prefix already audited, per incident.
+        #: Attempt-history prefix already audited, per open incident
+        #: (keyed by identity; dropped once the incident concludes).
         self._audited: Dict[int, int] = {}
+        #: How much of the controller's ``closed_incidents`` and
+        #: ``unresolved_incidents`` lists the escalation audit has seen.
+        self._closed_seen = 0
+        self._unresolved_seen = 0
         self._last_check: Optional[float] = None
         self._attached = False
 
@@ -107,12 +123,17 @@ class SafetyMonitor:
 
         The fabric, scheduler, ladder, and executors are shared
         infrastructure — only the controller object is replaced.  The
-        audited-history cursors carry over (keyed by incident identity),
-        so adopted incidents are not re-audited from scratch.
+        successor rebuilds its incidents from the journal as new
+        objects, so every audit cursor starts over: each of its
+        incidents, concluded ones included, is audited once from the
+        start of its history.
         """
         self.controller = controller
         self.scheduler = controller.scheduler
         self.ladder = controller.ladder
+        self._audited = {}
+        self._closed_seen = 0
+        self._unresolved_seen = 0
 
     # -- checking ------------------------------------------------------------
 
@@ -161,13 +182,16 @@ class SafetyMonitor:
 
     def _check_maintenance_orphans(self):
         found = []
-        claimed = set(self.controller.active_orders)
-        for link in self.fabric.links.values():
-            if link.state is not LinkState.MAINTENANCE:
+        state = self.fabric.state
+        rows = state.rows_in_insertion_order(
+            (state.state_code[:state.n_links]
+             == MAINTENANCE_CODE).nonzero()[0])
+        claimed = self.controller.active_orders
+        for row in rows:
+            link_id = state.links_by_row[row].id
+            if link_id in claimed or self._touched_by_executor(link_id):
                 continue
-            if link.id in claimed or self._touched_by_executor(link.id):
-                continue
-            found.append(((self.MAINTENANCE_ORPHAN, link.id),
+            found.append(((self.MAINTENANCE_ORPHAN, link_id),
                           "link under maintenance with no owner"))
         return found
 
@@ -191,37 +215,52 @@ class SafetyMonitor:
                      f"drains held for finished order: {links}"))
         return found
 
-    def _incidents(self):
-        yield from self.controller.open_incidents.values()
-        yield from self.controller.closed_incidents
-        yield from self.controller.unresolved_incidents
-
     def _check_escalation_monotone(self, now: float) -> None:
+        """Audit the history each incident gained since the last check.
+
+        Open incidents keep a cursor.  An incident concluded since the
+        last check is audited once more and its cursor dropped:
+        ``_close`` and ``_mark_unresolvable`` are the last step of its
+        attempt process, so a concluded history never grows.
+        """
+        controller = self.controller
+        closed = controller.closed_incidents
+        unresolved = controller.unresolved_incidents
+        concluded = (closed[self._closed_seen:]
+                     + unresolved[self._unresolved_seen:])
+        self._closed_seen = len(closed)
+        self._unresolved_seen = len(unresolved)
+        for incident in controller.open_incidents.values():
+            self._audit(incident, now)
+        for incident in concluded:
+            self._audit(incident, now)
+            self._audited.pop(id(incident), None)
+
+    def _audit(self, incident, now: float) -> None:
         ladder = self.ladder.config.ladder
-        for incident in self._incidents():
-            history = incident.attempt_history
-            cursor = self._audited.get(id(incident), 0)
-            if cursor >= len(history):
+        history = incident.attempt_history
+        cursor = self._audited.get(id(incident), 0)
+        if cursor >= len(history):
+            return
+        prev_rank = -1
+        if cursor > 0:
+            ranked = [ladder.index(action)
+                      for _, action in history[:cursor]
+                      if action in ladder]
+            prev_rank = max(ranked, default=-1)
+        for index in range(cursor, len(history)):
+            when, action = history[index]
+            if action not in ladder:
                 continue
-            prev_rank = -1
-            if cursor > 0:
-                ranked = [ladder.index(action)
-                          for _, action in history[:cursor]
-                          if action in ladder]
-                prev_rank = max(ranked, default=-1)
-            for index in range(cursor, len(history)):
-                when, action = history[index]
-                if action not in ladder:
-                    continue
-                rank = ladder.index(action)
-                if rank < prev_rank:
-                    self._record(InvariantViolation(
-                        time=now, kind=self.ESCALATION_REGRESSION,
-                        target=incident.link_id,
-                        detail=f"{action.value} (stage {rank}) after "
-                               f"stage {prev_rank} at t={when:.0f}"))
-                prev_rank = max(prev_rank, rank)
-            self._audited[id(incident)] = len(history)
+            rank = ladder.index(action)
+            if rank < prev_rank:
+                self._record(InvariantViolation(
+                    time=now, kind=self.ESCALATION_REGRESSION,
+                    target=incident.link_id,
+                    detail=f"{action.value} (stage {rank}) after "
+                           f"stage {prev_rank} at t={when:.0f}"))
+            prev_rank = max(prev_rank, rank)
+        self._audited[id(incident)] = len(history)
 
     # -- gauges and reporting ------------------------------------------------
 

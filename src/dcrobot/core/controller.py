@@ -404,10 +404,8 @@ class MaintenanceController:
                     link_id=order.link_id, executor=claim.executor_id)
             self.obs.count("dcrobot_dispatches_total",
                            executor=claim.executor_id)
-            self.obs.gauge(
-                "dcrobot_active_orders",
-                sum(len(claims)
-                    for claims in self.active_orders.values()))
+            self.obs.gauge("dcrobot_active_orders",
+                           sum(map(len, self.active_orders.values())))
         return claim
 
     def _release(self, claim: ActiveOrder) -> None:
@@ -423,10 +421,8 @@ class MaintenanceController:
         if self.obs.enabled:
             self.obs.tracer.end_span(
                 self._order_spans.pop(claim.order.order_id, None))
-            self.obs.gauge(
-                "dcrobot_active_orders",
-                sum(len(claims)
-                    for claims in self.active_orders.values()))
+            self.obs.gauge("dcrobot_active_orders",
+                           sum(map(len, self.active_orders.values())))
 
     def inflight_order_ids(self) -> Set[int]:
         """Order ids of every currently claimed work order."""

@@ -9,6 +9,7 @@ owns that assembly so experiments stay declarative.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from typing import Callable, Dict, Optional
 
 import numpy as np
@@ -331,8 +332,10 @@ def build_world(config: WorldConfig) -> RunResult:
     sim = Simulation()
     obs = NULL_OBS
     if config.observe:
-        obs = observability_for_seed(config.seed,
-                                     clock=lambda: sim.now)
+        # The tracer reads the clock for every span: getattr through a
+        # partial is one C call where a lambda is a Python frame.
+        obs = observability_for_seed(
+            config.seed, clock=functools.partial(getattr, sim, "now"))
         obs.tracer.open_root("world", seed=config.seed,
                              horizon_days=config.horizon_days,
                              level=config.level.name)

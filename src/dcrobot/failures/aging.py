@@ -103,3 +103,4 @@ class OxidationAging:
         ox = state.ox[:, :n]
         ox[seated] = np.minimum(1.0, ox[seated]
                                 + rates[seated] * fraction_of_day)
+        state.input_writes += 1

@@ -65,7 +65,24 @@ class HealthParams:
 
 
 class HealthModel:
-    """Evaluates and drives the operational state of every link."""
+    """Evaluates and drives the operational state of every link.
+
+    The score's physical inputs change far less often than it is asked
+    for (a 32-link chaos hall re-scores 26,462 times in 90 days; 583 of
+    those find a fault, dirt or oxidation input changed), so the kernel
+    keeps three arrays over all rows: the hard-fault mask,
+    ``max(0, ox - onset)`` and ``max(0, dirt - threshold)``.  They are
+    refilled, by the same expressions over every row, only when the
+    key ``(generation, input_writes, n_links)`` of the fabric state has
+    moved since the last fill.  ``input_writes`` is bumped by every
+    health-input writer: the ``Transceiver`` setters ``oxidation``,
+    ``seated``, ``firmware_stuck`` and ``hw_fault``; ``Port.hw_fault``;
+    the ``Cable`` setters ``damaged``, ``attached_a`` and
+    ``attached_b``; ``EndFace`` mirror pushes and per-core
+    write-throughs; the aging kernel's in-place update; and the twin's
+    column-wise repairs.  Structural changes (bind, unbind, component
+    swaps) bump ``generation`` instead.
+    """
 
     def __init__(self, fabric: Fabric, environment: Environment,
                  params: Optional[HealthParams] = None,
@@ -78,6 +95,10 @@ class HealthModel:
         self._bad = fabric.state.add_link_column(False)
         #: Disturbance expiry time per row (see :meth:`disturb`).
         self._disturbed = fabric.state.add_link_column(0.0)
+        #: Cached score inputs over all rows (see the class docstring)
+        #: and the state key they were filled at.
+        self._inputs_key = None
+        self._hard_fault = self._ox_term = self._dirt_term = None
 
     def _row(self, link_id: str) -> int:
         row = self.fabric.state.index_of.get(link_id)
@@ -150,6 +171,35 @@ class HealthModel:
 
     # -- the kernel ------------------------------------------------------------
 
+    def _inputs(self):
+        """The hard-fault mask and the oxidation and dirt terms of every
+        row, refilled only when the state's input key has moved."""
+        state = self.fabric.state
+        key = (state.generation, state.input_writes, state.n_links)
+        if key != self._inputs_key:
+            rows = slice(0, state.n_links)
+            self._hard_fault = (
+                state.cable_damaged[rows]
+                | state.unit_hw_fault[0, rows] | state.unit_hw_fault[1, rows]
+                | state.unit_fw_stuck[0, rows] | state.unit_fw_stuck[1, rows]
+                | state.port_hw_fault[0, rows] | state.port_hw_fault[1, rows]
+                | state.cable_end_scratched[0, rows]
+                | state.cable_end_scratched[1, rows]
+                | ~state.seated[0, rows] | ~state.seated[1, rows]
+                | ~state.cable_attached[0, rows]
+                | ~state.cable_attached[1, rows])
+            oxidation = np.maximum(state.ox[0, rows], state.ox[1, rows])
+            self._ox_term = np.maximum(
+                0.0, oxidation - self.params.oxidation_onset)
+            dirt = np.maximum(
+                np.maximum(state.cable_end_worst[0, rows],
+                           state.cable_end_worst[1, rows]),
+                np.maximum(state.recept_worst[0, rows],
+                           state.recept_worst[1, rows]))
+            self._dirt_term = np.maximum(0.0, dirt - IMPAIRMENT_THRESHOLD)
+            self._inputs_key = key
+        return self._hard_fault, self._ox_term, self._dirt_term
+
     def _scores(self, rows: slice, now: float,
                 stress: float) -> np.ndarray:
         """Impairment scores of a contiguous row range, in [0, 1].
@@ -157,30 +207,12 @@ class HealthModel:
         The terms are added in the order the object walk adds them, so
         every score is the same float.
         """
-        state = self.fabric.state
-        params = self.params
-        hard_fault = (
-            state.cable_damaged[rows]
-            | state.unit_hw_fault[0, rows] | state.unit_hw_fault[1, rows]
-            | state.unit_fw_stuck[0, rows] | state.unit_fw_stuck[1, rows]
-            | state.port_hw_fault[0, rows] | state.port_hw_fault[1, rows]
-            | state.cable_end_scratched[0, rows]
-            | state.cable_end_scratched[1, rows]
-            | ~state.seated[0, rows] | ~state.seated[1, rows]
-            | ~state.cable_attached[0, rows]
-            | ~state.cable_attached[1, rows])
-
-        oxidation = np.maximum(state.ox[0, rows], state.ox[1, rows])
-        score = np.maximum(0.0, oxidation - params.oxidation_onset)
-        dirt = np.maximum(
-            np.maximum(state.cable_end_worst[0, rows],
-                       state.cable_end_worst[1, rows]),
-            np.maximum(state.recept_worst[0, rows],
-                       state.recept_worst[1, rows]))
-        score = score + np.maximum(0.0, dirt - IMPAIRMENT_THRESHOLD) * stress
-        score[self._disturbed.values[rows] > now] += params.disturbance_score
+        hard_fault, ox_term, dirt_term = self._inputs()
+        score = ox_term[rows] + dirt_term[rows] * stress
+        score[self._disturbed.values[rows] > now] += \
+            self.params.disturbance_score
         score = np.minimum(score, 1.0)
-        score[hard_fault] = 1.0
+        score[hard_fault[rows]] = 1.0
         return score
 
     def _evaluate(self, rows: slice, now: float) -> None:
@@ -189,10 +221,12 @@ class HealthModel:
         ``rows`` is a slice, so every column below is a view.  The
         Gilbert-Elliott draws are batched in ``fabric.links`` order
         (``rng.random(k)`` consumes the stream exactly like ``k``
-        sequential scalar draws), and the good-phase marginal loss is
-        computed with scalar Python pow over the (small) marginal subset
-        because ``10.0 ** ndarray`` is *not* bit-identical to the scalar
-        power :meth:`marginal_loss` uses.
+        sequential scalar draws).  The marginal band is small (2.4 rows
+        per evaluation on average in a chaos hall), so its phase update,
+        ``p_fail`` and good-phase loss run per row on Python floats: the
+        same operands in the same order as the object walk, and scalar
+        Python pow, because ``10.0 ** ndarray`` is *not* bit-identical
+        to the scalar power :meth:`marginal_loss` uses.
         """
         state = self.fabric.state
         params = self.params
@@ -217,28 +251,31 @@ class HealthModel:
         loss[hard_down] = 1.0
         loss[clean] = params.base_loss
 
+        # ``mask.nonzero()``, not ``np.nonzero(mask)``: the wrapper adds
+        # three Python-level calls to a kernel that runs every tick.
         marginal_rows = state.rows_in_insertion_order(
-            np.nonzero(marginal)[0] + start) - start
+            marginal.nonzero()[0] + start) - start
         if marginal_rows.size:
-            draws = self.rng.random(marginal_rows.size)
-            severity = ((score[marginal_rows] - params.marginal_threshold)
-                        / (params.hard_down_threshold
-                           - params.marginal_threshold))
-            p_fail = np.minimum(0.95, params.flap_g2b_per_tick
-                                * (0.25 + severity) * stress)
-            was_bad = bad[marginal_rows]
-            now_bad = np.where(was_bad,
-                               draws >= params.flap_b2g_per_tick,
-                               draws < p_fail)
-            bad[marginal_rows] = now_bad
-            new_code[marginal_rows] = np.where(now_bad, DOWN_CODE, UP_CODE)
-            loss[marginal_rows] = 1.0
-            for row, row_bad in zip(marginal_rows, now_bad):
-                if not row_bad:
-                    loss[row] = self.marginal_loss(float(score[row]))
+            draws = self.rng.random(marginal_rows.size).tolist()
+            band = params.hard_down_threshold - params.marginal_threshold
+            for row, draw in zip(marginal_rows.tolist(), draws):
+                row_score = float(score[row])
+                if bad[row]:
+                    row_bad = draw >= params.flap_b2g_per_tick
+                else:
+                    severity = (row_score - params.marginal_threshold) / band
+                    row_bad = draw < min(0.95, params.flap_g2b_per_tick
+                                         * (0.25 + severity) * stress)
+                bad[row] = row_bad
+                if row_bad:
+                    new_code[row] = DOWN_CODE
+                    loss[row] = 1.0
+                else:
+                    new_code[row] = UP_CODE
+                    loss[row] = self.marginal_loss(row_score)
 
         changed = state.rows_in_insertion_order(
-            np.nonzero(active & (new_code != code))[0] + start)
+            (active & (new_code != code)).nonzero()[0] + start)
         links_by_row = state.links_by_row
         for row in changed:
             links_by_row[row].set_state(now, STATE_OF[new_code[row - start]])

@@ -93,6 +93,7 @@ class Cable:
         fs = self._fs
         if fs is not None:
             fs.cable_damaged[self._row] = value
+            fs.input_writes += 1
 
     @property
     def attached_a(self) -> bool:
@@ -104,6 +105,7 @@ class Cable:
         fs = self._fs
         if fs is not None:
             fs.cable_attached[0, self._row] = value
+            fs.input_writes += 1
 
     @property
     def attached_b(self) -> bool:
@@ -115,6 +117,7 @@ class Cable:
         fs = self._fs
         if fs is not None:
             fs.cable_attached[1, self._row] = value
+            fs.input_writes += 1
 
     @property
     def cleanable(self) -> bool:

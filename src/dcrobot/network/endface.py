@@ -42,7 +42,8 @@ class EndFace:
         #: per-link worst-contamination and scratch columns current for
         #: the batch kernels: a per-core deposit can only raise the
         #: worst core, so it writes the column through; every other
-        #: mutator recomputes both via :meth:`_push_mirror`.
+        #: mutator recomputes both via :meth:`_push_mirror`.  Both bump
+        #: the state's ``input_writes`` when they write.
         self._mirror = None
         self._row = -1
 
@@ -57,6 +58,7 @@ class EndFace:
             fs.cable_end_scratched[side, row] = bool(self.scratched.any())
         else:
             fs.recept_worst[side, row] = self.contamination.max()
+        fs.input_writes += 1
 
     def __repr__(self) -> str:
         return (f"<EndFace cores={self.core_count} polish={self.polish.name} "
@@ -109,6 +111,7 @@ class EndFace:
         column = fs.cable_end_worst if kind == "cable" else fs.recept_worst
         if highest > column[side, self._row]:
             column[side, self._row] = highest
+            fs.input_writes += 1
 
     def scratch(self, core: int) -> None:
         """Permanently damage a core (only replacement fixes this)."""

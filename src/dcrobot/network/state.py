@@ -215,6 +215,17 @@ class FabricState:
         #: calls after each transition.
         self.route_generation = 0
         self.next_lid = 0
+        #: Bumped by every write of a health input (the fault-flag,
+        #: oxidation and worst-dirt columns): the component setters and
+        #: end-face mirrors, the aging kernel, the twin's column-wise
+        #: repairs.  :class:`~dcrobot.failures.health.HealthModel` keys
+        #: its cached score inputs on it, with ``generation`` (bumped by
+        #: every structural change) and ``n_links``.
+        self.input_writes = 0
+        #: True while ``lid_of_row`` increases with the row, so
+        #: ascending rows are already in insertion order.  Only
+        #: :meth:`remove_link` of a non-last row clears it.
+        self._lid_ordered = True
         #: Latest ``set_state`` timestamp ever mirrored — the guard the
         #: availability fast path uses before trusting the accumulators.
         self.last_transition_time = 0.0
@@ -269,13 +280,14 @@ class FabricState:
         """An O(1) data snapshot sharing every column lazily.
 
         The fork carries the parent's counters (``generation``,
-        ``route_generation``, lids, flap log length) and sees identical
-        column contents; the first write to any shared column — from
-        either side — splits just that column (writer keeps the
-        buffer).  Containers are shared too and copied on the first
-        *structural* op.  The fork is a plain data twin: the bound view
-        objects in ``links_by_row`` still point at the parent, so
-        mutate a fork column-wise, never through object setters.
+        ``route_generation``, ``input_writes``, lids, flap log length)
+        and sees identical column contents; the first write to any
+        shared column — from either side — splits just that column
+        (writer keeps the buffer).  Containers are shared too and
+        copied on the first *structural* op.  The fork is a plain data
+        twin: the bound view objects in ``links_by_row`` still point at
+        the parent, so mutate a fork column-wise, never through object
+        setters.
         """
         child = FabricState.__new__(FabricState)
         child._capacity = self._capacity
@@ -283,6 +295,8 @@ class FabricState:
         child.generation = self.generation
         child.route_generation = self.route_generation
         child.next_lid = self.next_lid
+        child.input_writes = self.input_writes
+        child._lid_ordered = self._lid_ordered
         child.last_transition_time = self.last_transition_time
         child._flap_len = self._flap_len
         child.links_by_row = self.links_by_row
@@ -525,6 +539,7 @@ class FabricState:
             port._row = -1
         last = self.n_links - 1
         if row != last:
+            self._lid_ordered = False
             moved = self.links_by_row[last]
             self.links_by_row[row] = moved
             self._copy_row(last, row)
@@ -627,14 +642,29 @@ class FabricState:
             self._flap_lids[m] = lid
         self._flap_len = m + 1
 
+    def _flap_window(self, start: float, end: float):
+        """Log positions ``[lo, hi)`` of the events in ``start < t < end``.
+
+        Every poll asks, so this calls the ndarray method rather than
+        ``np.searchsorted``, which adds three Python-level calls.
+        """
+        times = self._flap_times[:self._flap_len]
+        return (int(times.searchsorted(start, side="right")),
+                int(times.searchsorted(end, side="left")))
+
+    def flap_events(self, start: float, end: float) -> int:
+        """Fleet-wide flap transitions in the open window
+        ``start < t < end``: an upper bound on every row's
+        :meth:`flap_counts` entry, at the cost of two bisections."""
+        lo, hi = self._flap_window(start, end)
+        return hi - lo
+
     def flap_counts(self, start: float, end: float) -> np.ndarray:
         """Per-row flap-transition counts over the open window
         ``start < t < end`` — the same strict bounds as
         :meth:`dcrobot.network.link.Link.transitions_in_window`."""
         n = self.n_links
-        times = self._flap_times[:self._flap_len]
-        lo = int(np.searchsorted(times, start, side="right"))
-        hi = int(np.searchsorted(times, end, side="left"))
+        lo, hi = self._flap_window(start, end)
         if hi <= lo or n == 0:
             return np.zeros(n, dtype=np.int64)
         by_lid = np.bincount(self._flap_lids[lo:hi],
@@ -644,11 +674,14 @@ class FabricState:
     # -- ordering helpers ------------------------------------------------------
 
     def rows_in_insertion_order(self, rows: np.ndarray) -> np.ndarray:
-        """Sort a row subset into ``fabric.links`` dict order (by lid).
+        """Sort an ascending row subset (``np.nonzero`` output) into
+        ``fabric.links`` dict order (by lid).
 
         Batched RNG consumption must happen in this order to stay
-        stream-identical with the legacy per-link loops.
+        stream-identical with the legacy per-link loops.  Until a
+        :meth:`remove_link` swaps a later row into a freed slot, lids
+        increase with the row and ascending rows are returned as is.
         """
-        if len(rows) < 2:
+        if self._lid_ordered or len(rows) < 2:
             return rows
-        return rows[np.argsort(self.lid_of_row[rows], kind="stable")]
+        return rows[self.lid_of_row[rows].argsort(kind="stable")]

@@ -53,6 +53,7 @@ class Port:
         fs = self._fs
         if fs is not None:
             fs.port_hw_fault[self._side, self._row] = value
+            fs.input_writes += 1
 
     @property
     def occupied(self) -> bool:

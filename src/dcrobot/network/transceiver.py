@@ -128,6 +128,8 @@ class Transceiver:
     # ``oxidation`` is written densely by the aging kernel, so the
     # array is the readable truth while bound; the sparse flags keep
     # their plain attribute as truth and write through to the arrays.
+    # Every bound write bumps ``FabricState.input_writes``, the key of
+    # the health model's cached score inputs.
 
     @property
     def oxidation(self) -> float:
@@ -143,6 +145,7 @@ class Transceiver:
             self._oxidation = value
         else:
             fs.ox[self._side, self._row] = value
+            fs.input_writes += 1
 
     @property
     def seated(self) -> bool:
@@ -154,6 +157,7 @@ class Transceiver:
         fs = self._fs
         if fs is not None:
             fs.seated[self._side, self._row] = value
+            fs.input_writes += 1
 
     @property
     def firmware_stuck(self) -> bool:
@@ -165,6 +169,7 @@ class Transceiver:
         fs = self._fs
         if fs is not None:
             fs.unit_fw_stuck[self._side, self._row] = value
+            fs.input_writes += 1
 
     @property
     def hw_fault(self) -> bool:
@@ -176,6 +181,7 @@ class Transceiver:
         fs = self._fs
         if fs is not None:
             fs.unit_hw_fault[self._side, self._row] = value
+            fs.input_writes += 1
 
     @property
     def form_factor(self) -> FormFactor:

@@ -53,9 +53,12 @@ DEFAULT_BUCKETS = (1.0, 5.0, 15.0, 60.0, 300.0, 1800.0, 3600.0,
                    14400.0, 86400.0)
 
 
+#: Exact types :func:`_number` only has to pass to ``float``.
+_NUMBER_TYPES = (int, float)
+
+
 def _label_key(labels: Dict[str, Any]) -> LabelKey:
-    return tuple(sorted((key, str(value))
-                        for key, value in labels.items()))
+    return tuple(sorted(zip(labels, map(str, labels.values()))))
 
 
 def _number(value: Any) -> float:
@@ -77,11 +80,14 @@ class Counter:
         self._values: Dict[LabelKey, float] = {}
 
     def inc(self, value: float = 1.0, **labels: Any) -> None:
-        value = _number(value)
+        # The instrumentation hot path: plain numbers and empty label
+        # sets skip the helper calls.
+        value = (float(value) if type(value) in _NUMBER_TYPES
+                 else _number(value))
         if value < 0:
             raise ValueError(
                 f"counter {self.name} cannot decrease (got {value})")
-        key = _label_key(labels)
+        key = _label_key(labels) if labels else ()
         self._values[key] = self._values.get(key, 0.0) + value
 
     def value(self, **labels: Any) -> float:
@@ -106,7 +112,9 @@ class Gauge:
         self._values: Dict[LabelKey, float] = {}
 
     def set(self, value: float, **labels: Any) -> None:
-        self._values[_label_key(labels)] = _number(value)
+        self._values[_label_key(labels) if labels else ()] = (
+            float(value) if type(value) in _NUMBER_TYPES
+            else _number(value))
 
     def inc(self, value: float = 1.0, **labels: Any) -> None:
         key = _label_key(labels)
@@ -142,10 +150,10 @@ class Histogram:
                  help: str = ""):
         if buckets is None:
             buckets = BUCKETS_BY_NAME.get(name, DEFAULT_BUCKETS)
-        uppers = tuple(sorted(float(b) for b in buckets))
+        uppers = tuple(sorted(map(float, buckets)))
         if not uppers:
             raise ValueError(f"histogram {name} needs >= 1 bucket")
-        if any(math.isinf(b) or math.isnan(b) for b in uppers):
+        if not all(map(math.isfinite, uppers)):
             raise ValueError(
                 f"histogram {name}: +Inf bucket is implicit; bounds "
                 "must be finite")
@@ -243,9 +251,15 @@ class MetricsRegistry:
         return instrument
 
     def counter(self, name: str, help: str = "") -> Counter:
+        instrument = self._instruments.get(name)
+        if type(instrument) is Counter:  # every call after the first
+            return instrument
         return self._get(name, Counter, lambda: Counter(name, help))
 
     def gauge(self, name: str, help: str = "") -> Gauge:
+        instrument = self._instruments.get(name)
+        if type(instrument) is Gauge:  # every call after the first
+            return instrument
         return self._get(name, Gauge, lambda: Gauge(name, help))
 
     def histogram(self, name: str,

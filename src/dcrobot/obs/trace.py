@@ -39,13 +39,16 @@ def trace_id_from_seed(seed: int) -> str:
     return digest.hexdigest()[:16]
 
 
+#: Exact types an attribute value keeps as is: np.float64 subclasses
+#: float but should still be unwrapped to the plain Python scalar.
+_PLAIN_TYPES = (bool, int, float, str, type(None))
+
+
 def _plain(value: Any) -> Any:
     """Coerce an attribute value to a deterministic JSON scalar."""
     if isinstance(value, enum.Enum):
         value = value.value
-    # Exact-type check: np.float64 subclasses float but should still
-    # be unwrapped to the plain Python scalar below.
-    if value is None or type(value) in (bool, int, float, str):
+    if type(value) in _PLAIN_TYPES:
         return value
     item = getattr(value, "item", None)  # numpy scalars
     if callable(item):
@@ -89,8 +92,7 @@ class Span:
             "start": self.start,
             "end": self.end,
             "status": self.status,
-            "attributes": {key: self.attributes[key]
-                           for key in sorted(self.attributes)},
+            "attributes": dict(sorted(self.attributes.items())),
         }
 
 
@@ -156,9 +158,12 @@ class Tracer:
     def _make(self, name: str, parent_id: Optional[int],
               attributes: Dict[str, Any]) -> Span:
         span = Span(trace_id=self.trace_id, span_id=next(self._ids),
-                    parent_id=parent_id, name=name, start=self.clock(),
-                    attributes={key: _plain(value)
-                                for key, value in attributes.items()})
+                    parent_id=parent_id, name=name, start=self.clock())
+        plain = span.attributes
+        for key, value in attributes.items():
+            # Plain scalars (almost every attribute) skip the call.
+            plain[key] = (value if type(value) in _PLAIN_TYPES
+                          else _plain(value))
         self.spans.append(span)
         return span
 
@@ -180,15 +185,18 @@ class Tracer:
         if span.end is None:
             span.end = self.clock()
             span.status = status
-        if attributes:
-            span.attributes.update(
-                {key: _plain(value)
-                 for key, value in attributes.items()})
+        plain = span.attributes
+        for key, value in attributes.items():
+            plain[key] = (value if type(value) in _PLAIN_TYPES
+                          else _plain(value))
 
     def record(self, name: str, parent: Optional[Span] = None,
                **attributes: Any) -> Span:
         """An instant (zero-duration) span at the current sim time."""
-        span = self.start_span(name, parent=parent, **attributes)
+        if parent is None:
+            parent = self.root
+        span = self._make(name, parent.span_id if parent is not None
+                          else None, attributes)
         span.end = span.start
         return span
 

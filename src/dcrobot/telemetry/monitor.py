@@ -20,8 +20,6 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Iterable, List, Optional
 
-import numpy as np
-
 from dcrobot.network.inventory import Fabric
 from dcrobot.network.link import Link
 from dcrobot.network.state import DOWN_CODE, FLAPPING_CODE, MAINTENANCE_CODE
@@ -134,31 +132,39 @@ class TelemetryMonitor:
 
         Bit-identical to ``monitor_poll`` in ``tests/oracles/sweeps.py``,
         which runs :meth:`_scan` over every link: the arrays select a
-        *superset* of the links that pass would touch — rows down past
-        the grace period, rows with enough windowed flap transitions,
-        rows with elevated loss, ids with pending ``_lossy_since``
-        bookkeeping, and muted ids whose TTL expires this poll.  Every
-        other link is provably a no-op in :meth:`_scan` (``check``
-        returns ``None`` without mutating detector state).  Selected
+        *superset* of the links that pass would touch.  :meth:`_scan`
+        does anything only for a link that ``check`` reports or whose
+        ``_lossy_since`` entry it sets or clears, or a muted link whose
+        TTL expires; ``check`` returns ``None`` for a MAINTENANCE link.
+        So it suffices to select:
+
+        * rows down past the grace period (``DOWN_CODE`` only);
+        * non-MAINTENANCE rows with at least ``flap_transitions`` flap
+          events in the window.  When the whole log holds fewer events
+          in the window (two bisections), no row can, and the per-row
+          counts are skipped;
+        * carrying rows with elevated loss (``code <= FLAPPING_CODE``);
+        * ids with pending ``_lossy_since`` bookkeeping;
+        * muted ids whose TTL expires this poll.
+
+        Every other link is provably a no-op in :meth:`_scan`.  Selected
         links then run :meth:`_scan` in ``fabric.links`` order, so
         events, mutes, observability, and deliveries are unchanged.
         """
         state = self.fabric.state
         n = state.n_links
         params = self.detector.params
-        candidate = np.zeros(n, dtype=bool)
-        if n:
-            code = state.state_code[:n]
-            down_long = ((code == DOWN_CODE)
-                         & (now - state.down_since[:n]
-                            >= params.down_grace_seconds))
-            flapping = (state.flap_counts(now - params.flap_window_seconds,
-                                          now)
-                        >= params.flap_transitions)
-            lossy = ((code <= FLAPPING_CODE)
-                     & (state.loss_rate[:n] > params.loss_threshold))
-            candidate = ((code != MAINTENANCE_CODE)
-                         & (down_long | flapping | lossy))
+        code = state.state_code[:n]
+        candidate = (((code == DOWN_CODE)
+                      & (now - state.down_since[:n]
+                         >= params.down_grace_seconds))
+                     | ((code <= FLAPPING_CODE)
+                        & (state.loss_rate[:n] > params.loss_threshold)))
+        window_start = now - params.flap_window_seconds
+        if state.flap_events(window_start, now) >= params.flap_transitions:
+            candidate |= ((code != MAINTENANCE_CODE)
+                          & (state.flap_counts(window_start, now)
+                             >= params.flap_transitions))
         for link_id in self.detector._lossy_since:
             row = state.index_of.get(link_id)
             if row is not None:
@@ -169,7 +175,7 @@ class TelemetryMonitor:
                     row = state.index_of.get(link_id)
                     if row is not None:
                         candidate[row] = True
-        rows = state.rows_in_insertion_order(np.nonzero(candidate)[0])
+        rows = state.rows_in_insertion_order(candidate.nonzero()[0])
         links_by_row = state.links_by_row
         return self._scan([links_by_row[row] for row in rows], now)
 

@@ -240,6 +240,7 @@ class TwinWorld:
         fs.cable_end_worst[:, row] = 0.0
         fs.cable_end_scratched[:, row] = False
         fs.recept_worst[:, row] = 0.0
+        fs.input_writes += 1
         self.set_link_state(link_id, LinkState.UP, now=now)
         self.undrain(link_id)
 
@@ -259,6 +260,7 @@ class TwinWorld:
         fs.unit_hw_fault[side_index, row] = False
         fs.unit_fw_stuck[side_index, row] = False
         fs.recept_worst[side_index, row] = 0.0
+        fs.input_writes += 1
         if self.smi_tracker is not None and model_id is not None:
             link = self.state.links_by_row[row]
             old_model = link.transceiver_at(side).model.model_id
@@ -274,6 +276,7 @@ class TwinWorld:
         fs.cable_end_worst[:, row] = 0.0
         fs.cable_end_scratched[:, row] = False
         fs.cable_attached[:, row] = True
+        fs.input_writes += 1
         if self.smi_tracker is not None and cleanable is not None:
             old_cleanable = bool(fs.cleanable[row])
             fs.cleanable[row] = bool(cleanable)

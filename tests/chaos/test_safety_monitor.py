@@ -6,9 +6,8 @@ from dcrobot.chaos import SafetyMonitor
 from dcrobot.core import MaintenanceController, ReactivePolicy, RepairAction
 from dcrobot.core.actions import WorkOrder
 from dcrobot.core.controller import Incident
+from dcrobot.core.recovery import _incident_from_payload
 from dcrobot.telemetry import TelemetryMonitor
-
-from tests.conftest import make_world
 
 
 class StubExecutor:
@@ -32,12 +31,16 @@ class StubExecutor:
         raise AssertionError("safety tests never dispatch")
 
 
-def build(world, **kwargs):
-    stub = StubExecutor()
-    controller = MaintenanceController(
+def controller_for(world, stub):
+    return MaintenanceController(
         world.sim, world.fabric, world.health,
         TelemetryMonitor(world.fabric),
         ReactivePolicy(world.fabric), humans=stub)
+
+
+def build(world, **kwargs):
+    stub = StubExecutor()
+    controller = controller_for(world, stub)
     safety = SafetyMonitor(world.sim, controller, executors=[stub],
                            **kwargs).attach()
     return controller, safety, stub
@@ -150,6 +153,30 @@ def test_escalation_regression_detected_incrementally(world):
         (40.0, RepairAction.REPLACE_TRANSCEIVER))
     tick(world, steps=2)
     assert len(safety.violations) == 1
+
+
+def test_rebind_audits_the_successors_rebuilt_incidents_once(world):
+    controller, safety, stub = build(world)
+    for link in world.links:
+        incident = Incident(link_id=link.id, opened_at=0.0, symptom="x",
+                            resolved=True)
+        incident.attempt_history.append((0.0, RepairAction.RESEAT))
+        controller.closed_incidents.append(incident)
+    tick(world, steps=2)
+    assert safety.violations == []
+
+    # A failover: the successor rebuilds its one closed incident from
+    # the journal, a new object whose history walked down the ladder.
+    successor = controller_for(world, stub)
+    successor.closed_incidents.append(_incident_from_payload({
+        "link_id": world.links[0].id, "opened_at": 0.0, "symptom": "x",
+        "attempt_history": [(0.0, "clean"), (20.0, "reseat")],
+        "resolved": True}))
+    safety.rebind(successor)
+    tick(world, steps=3)
+    assert [(violation.kind, violation.target)
+            for violation in safety.violations] \
+        == [(SafetyMonitor.ESCALATION_REGRESSION, world.links[0].id)]
 
 
 def test_stuck_orders_gauge_and_interval_throttling(world):

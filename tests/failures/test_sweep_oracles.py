@@ -14,7 +14,10 @@ columns, Gilbert-Elliott phases, every link's impairment score, RNG
 states, detections, delivered events, and the monitor's mute table.
 The scripts reach fault states the pinned parity worlds do not:
 maintenance windows, detached cables, disturbances, scratched faces,
-and mute-TTL expiries.
+and mute-TTL expiries.  They also run every :class:`RepairAction`
+through :meth:`RepairPhysics.perform` (cleaning faces, swapping units
+and cables from stock, clearing port faults), so the health kernel's
+cached score inputs must see every write a repair makes.
 """
 
 from __future__ import annotations
@@ -24,9 +27,11 @@ import types
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
+from dcrobot.core.actions import RepairAction
+from dcrobot.core.repairs import TECHNICIAN_SKILL, RepairPhysics
 from dcrobot.failures import (
     HUMAN_HANDS,
     ROBOT_GRIPPER,
@@ -38,7 +43,7 @@ from dcrobot.failures import (
 )
 from dcrobot.failures.aging import OxidationAging
 from dcrobot.failures.dust import DustProcess
-from dcrobot.network import DegradationKind
+from dcrobot.network import DegradationKind, FormFactor
 from dcrobot.telemetry import TelemetryMonitor
 from dcrobot.topology import build_fattree
 
@@ -46,7 +51,8 @@ from tests.oracles import sweeps
 
 TICKS = 42
 TICK_SECONDS = 60.0
-#: Dust and aging run on every SLOW_EVERY-th tick.
+#: Dust and aging each run on every SLOW_EVERY-th tick, half a period
+#: apart, so the ticks after each one see its writes on their own.
 SLOW_EVERY = 6
 MUTE_TTL_SECONDS = 1200.0
 #: Edge-aggregation plus aggregation-core links of a k=4 fat tree.
@@ -55,10 +61,14 @@ LINKS = 32
 COLUMNS = ("state_code", "loss_rate", "ox", "cable_end_worst",
            "recept_worst", "down_since", "uptime_accum")
 
+#: Ops that run one repair action's physics, by the action's value.
+REPAIRS = {action.value: action for action in RepairAction}
+
 OPS = ("unseat", "seat", "hw_fault", "fw_stuck", "port_fault",
        "cable_damage", "scratch", "end_dirt", "recept_dirt", "oxidize",
        "detach", "attach", "disturb", "begin_maintenance",
-       "release_maintenance", "evaluate", "inject", "touch")
+       "release_maintenance", "evaluate", "inject", "touch",
+       *REPAIRS)
 
 #: Contact profiles for ``touch``: the two shipped ones, plus one that
 #: contacts, disturbs and damages often enough to matter in 42 ticks.
@@ -87,6 +97,7 @@ class Tree:
     monitor: TelemetryMonitor
     injector: FaultInjector
     cascade: CascadeModel
+    physics: RepairPhysics
     heard: list
 
     @property
@@ -97,6 +108,7 @@ class Tree:
 def _tree(seed: int) -> Tree:
     fabric = build_fattree(k=4, rng=np.random.default_rng(seed)).fabric
     assert len(fabric.links) == LINKS
+    fabric.stock_spares({factor: 4 for factor in FormFactor}, cables=4)
     environment = Environment()
     health = HealthModel(fabric, environment,
                          rng=np.random.default_rng(seed + 1))
@@ -110,9 +122,12 @@ def _tree(seed: int) -> Tree:
                              rng=np.random.default_rng(seed + 4))
     cascade = CascadeModel(fabric, health, environment,
                            rng=np.random.default_rng(seed + 5))
+    physics = RepairPhysics(fabric, cascade,
+                            rng=np.random.default_rng(seed + 6))
     heard: list = []
     monitor.subscribe(heard.append)
-    return Tree(health, dust, aging, monitor, injector, cascade, heard)
+    return Tree(health, dust, aging, monitor, injector, cascade, physics,
+                heard)
 
 
 def _oracle_tree(seed: int) -> Tree:
@@ -168,6 +183,8 @@ def _apply(tree: Tree, step, now: float) -> None:
         tree.injector.inject(kind, link, now)
     elif op == "touch":
         tree.cascade.touch(link, profile, now)
+    elif op in REPAIRS:
+        tree.physics.perform(REPAIRS[op], link, now, TECHNICIAN_SKILL)
 
 
 def _assert_same(kernel: Tree, oracle: Tree, tick: int,
@@ -186,7 +203,8 @@ def _assert_same(kernel: Tree, oracle: Tree, tick: int,
         assert (kernel.health.impairment_score(link, now)
                 == oracle.health.impairment_score(twin, now)), (
             f"impairment score of {link.id} diverged at tick {tick}")
-    for name in ("health", "dust", "aging", "injector", "cascade"):
+    for name in ("health", "dust", "aging", "injector", "cascade",
+                 "physics"):
         assert (getattr(kernel, name).rng.bit_generator.state
                 == getattr(oracle, name).rng.bit_generator.state), (
             f"{name} RNG diverged at tick {tick}")
@@ -214,6 +232,12 @@ def _stale_phase_release(index):
             _step(3, "release_maintenance", index)]
 
 
+def _repaired(fault, repair, index=12):
+    """A fault in the first tick, then the repair that clears it: the
+    tick after the repair reads the cached inputs it must invalidate."""
+    return [_step(0, fault, index, magnitude=0.9), _step(1, repair, index)]
+
+
 @given(seed=st.integers(0, 2**16), script=STEPS)
 # A muted link that recovers before its TTL expires is touched by no
 # prefilter row but the TTL one: unseat, wait for the detection at
@@ -226,7 +250,21 @@ def _stale_phase_release(index):
     _step(1, "inject", 4, kind=DegradationKind.FIRMWARE_STUCK),
     *_stale_phase_release(0), *_stale_phase_release(1),
     *_stale_phase_release(2)])
-@settings(max_examples=60, deadline=None)
+# One example per repair action, each clearing the fault it fixes.
+@example(seed=0, script=_repaired("unseat", "reseat"))
+@example(seed=0, script=_repaired("end_dirt", "clean"))
+@example(seed=0, script=_repaired("hw_fault", "replace-transceiver"))
+@example(seed=0, script=_repaired("cable_damage", "replace-cable"))
+# On a DAC link the swaps write no end-face: only the structural
+# generation tells the cache that the row changed.
+@example(seed=0, script=[*_repaired("hw_fault", "replace-transceiver", 0),
+                         *_repaired("cable_damage", "replace-cable", 1)])
+@example(seed=0, script=_repaired("port_fault", "replace-switchgear"))
+# No shrink or explain phase: shrinking replays two trees per attempt
+# and can run for many minutes on a divergence, while the falsifying
+# example is printed without it.
+@settings(max_examples=60, deadline=None,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate))
 def test_batch_kernels_match_per_link_oracles(seed, script):
     kernel, oracle = _tree(seed), _oracle_tree(seed)
     for tick in range(TICKS):
@@ -242,6 +280,7 @@ def test_batch_kernels_match_per_link_oracles(seed, script):
         if tick % SLOW_EVERY == 0:
             kernel.dust.step_all(now)
             sweeps.dust_tick(oracle.dust, now)
+        if tick % SLOW_EVERY == SLOW_EVERY // 2:
             kernel.aging.step_all(now)
             sweeps.aging_tick(oracle.aging, now)
         _assert_same(kernel, oracle, tick, now)

@@ -1,21 +1,47 @@
-"""Structural guards for the dust and bundle-neighbour hot paths.
+"""Structural guards for the sweep, audit and lookup hot paths.
 
-Two costs that once grew with fabric size are pinned here by counting,
-not by timing, on a k=8 fat tree:
+Costs that once grew with fabric size, or with run length, are pinned
+here by counting, not by timing:
 
 * a dust tick deposits one core per end-face, which can only raise the
   worst core, so it writes the column through and never re-reduces a
   face via ``EndFace._push_mirror``;
 * bundle neighbours resolve cable→link through the columnar binding,
-  so no lookup ever iterates ``fabric.links``.
+  so no lookup ever iterates ``fabric.links``;
+* a health tick with no health-input write since the previous score
+  reads none of the seven fault-flag columns (the cached inputs serve
+  it);
+* a poll whose flap window holds fewer events than
+  ``flap_transitions`` never computes per-row flap counts;
+* the safety monitor's orphan audit never iterates ``fabric.links``,
+  and a check touches no history of an incident it has already
+  audited to its conclusion.
+
+``sys.setprofile`` does not see numpy slicing, ``|``, ``~`` or
+comparisons, so the first of the new savings barely shows in counted
+calls; these guards are its evidence.
 """
 
 import numpy as np
 import pytest
 
+from dcrobot.chaos import SafetyMonitor
+from dcrobot.core import RepairAction
+from dcrobot.core.controller import Incident
+from dcrobot.failures import Environment, HealthModel
 from dcrobot.failures.dust import DustProcess
 from dcrobot.network.endface import EndFace
+from dcrobot.network.enums import LinkState
+from dcrobot.network.state import FabricState
+from dcrobot.telemetry import Symptom, TelemetryMonitor
 from dcrobot.topology import build_fattree
+
+from tests.chaos.test_safety_monitor import build, claim
+
+#: The boolean columns the hard-fault mask ORs together.
+FAULT_FLAGS = ("cable_damaged", "unit_hw_fault", "unit_fw_stuck",
+               "port_hw_fault", "cable_end_scratched", "seated",
+               "cable_attached")
 
 
 @pytest.fixture
@@ -66,3 +92,115 @@ def test_bundle_neighbors_never_scan_the_links(fabric):
     for link in links:
         got = [other.id for other in fabric.bundle_neighbor_links(link)]
         assert got == expected[link.id]
+
+
+class _ReadLogged(np.ndarray):
+    """A column view that logs its name on every indexing read."""
+
+    def __getitem__(self, key):
+        self.log.append(self.name)
+        item = np.ndarray.__getitem__(self, key)
+        return item.view(np.ndarray) if isinstance(item, np.ndarray) \
+            else item
+
+
+def _log_reads(state, names):
+    log = []
+    for name in names:
+        view = getattr(state, name).view(_ReadLogged)
+        view.log, view.name = log, name
+        setattr(state, name, view)
+    return log
+
+
+def test_a_health_tick_without_input_writes_reads_no_fault_flags(fabric):
+    health = HealthModel(fabric, Environment(),
+                         rng=np.random.default_rng(5))
+    health.tick_all(0.0)
+    reads = _log_reads(fabric.state, FAULT_FLAGS)
+    health.tick_all(300.0)
+    health.evaluate_link(next(iter(fabric.links.values())), 400.0)
+    assert reads == []
+    # A write moves the key: the next score re-reads every flag.
+    next(iter(fabric.links.values())).transceiver_a.hw_fault = True
+    health.tick_all(600.0)
+    assert set(reads) == set(FAULT_FLAGS)
+
+
+def test_a_poll_with_a_quiet_flap_window_skips_the_row_counts(
+        fabric, monkeypatch):
+    monitor = TelemetryMonitor(fabric)
+    threshold = monitor.detector.params.flap_transitions
+    link = next(iter(fabric.links.values()))
+    counted = []
+    flap_counts = FabricState.flap_counts
+
+    def counting(self, start, end):
+        counted.append((start, end))
+        return flap_counts(self, start, end)
+
+    monkeypatch.setattr(FabricState, "flap_counts", counting)
+    states = (LinkState.DOWN, LinkState.UP) * threshold
+    for index in range(threshold - 1):
+        link.set_state(60.0 * (index + 1), states[index])
+    assert monitor.poll_all(60.0 * threshold) == []
+    assert counted == []
+    # The threshold-th event in the window: the counts run and report.
+    link.set_state(60.0 * threshold, states[threshold - 1])
+    events = monitor.poll_all(60.0 * (threshold + 1))
+    assert len(counted) == 1
+    assert [(event.link_id, event.symptom) for event in events] \
+        == [(link.id, Symptom.LINK_FLAPPING)]
+
+
+def test_the_orphan_audit_never_scans_the_links(world):
+    controller, safety, _stub = build(world)
+    orphan, owned = world.links[0], world.links[1]
+    world.health.begin_maintenance(orphan, 0.0)
+    world.health.begin_maintenance(owned, 0.0)
+    claim(controller, owned)
+    world.fabric.links = _NoScanDict(world.fabric.links)
+    safety.check(0.0)
+    assert [(violation.kind, violation.target)
+            for violation in safety.violations] \
+        == [(SafetyMonitor.MAINTENANCE_ORPHAN, orphan.id)]
+
+
+class _TouchLogged(list):
+    """An attempt history that logs every read of itself."""
+
+    def __init__(self, items, log):
+        super().__init__(items)
+        self.log = log
+
+    def __len__(self):
+        self.log.append(self)
+        return super().__len__()
+
+    def __getitem__(self, key):
+        self.log.append(self)
+        return super().__getitem__(key)
+
+    def __iter__(self):
+        self.log.append(self)
+        return super().__iter__()
+
+
+def test_a_check_leaves_concluded_audited_histories_alone(world):
+    controller, safety, _stub = build(world)
+    touched = []
+    for index, link in enumerate(world.links):
+        incident = Incident(link_id=link.id, opened_at=0.0, symptom="x")
+        incident.attempt_history = _TouchLogged(
+            [(0.0, RepairAction.RESEAT), (10.0, RepairAction.CLEAN)],
+            touched)
+        concluded = (controller.closed_incidents if index % 2
+                     else controller.unresolved_incidents)
+        concluded.append(incident)
+    safety.check(20.0)
+    assert touched  # the first check audits each once...
+    assert safety._audited == {}  # ...keeps no cursor for them...
+    touched.clear()
+    safety.check(30.0)
+    assert touched == []  # ...and the next check leaves them alone
+    assert safety.violations == []

@@ -69,6 +69,27 @@ def test_swap_with_last_removal_keeps_rows_dense(fabric):
     assert victim.state is LinkState.DOWN
 
 
+def test_rows_skip_the_lid_sort_until_a_row_moves(fabric):
+    links = _connect(fabric, 4)
+    state = fabric.state
+    rows = np.arange(state.n_links)
+    assert state.rows_in_insertion_order(rows) is rows
+    # Removing the last row, then appending, keeps lids ascending.
+    fabric.disconnect(links[-1].id)
+    _connect(fabric, 2)
+    rows = np.arange(state.n_links)
+    assert state.rows_in_insertion_order(rows) is rows
+    # A removal that swaps the last row into a freed slot does not.
+    fabric.disconnect(links[0].id)
+    rows = np.arange(state.n_links)
+    assert state.rows_in_insertion_order(rows) is not rows
+    _assert_consistent(fabric)
+    forked = state.fork()
+    assert [forked.links_by_row[row].id
+            for row in forked.rows_in_insertion_order(rows)] \
+        == list(fabric.links)
+
+
 def test_removed_last_row_needs_no_swap(fabric):
     links = _connect(fabric, 3)
     fabric.disconnect(links[-1].id)

@@ -34,7 +34,12 @@ TARGETS = ("src/dcrobot/core", "src/dcrobot/chaos",
            "src/dcrobot/shard", "src/dcrobot/service",
            "src/dcrobot/failures",
            "src/dcrobot/network/state.py",
+           "src/dcrobot/network/transceiver.py",
+           "src/dcrobot/network/cable.py",
+           "src/dcrobot/network/switchgear.py",
+           "src/dcrobot/network/endface.py",
            "src/dcrobot/telemetry/detectors.py",
+           "src/dcrobot/telemetry/monitor.py",
            "src/dcrobot/metrics/mttr.py")
 
 

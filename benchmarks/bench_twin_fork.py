@@ -23,6 +23,7 @@ from conftest import run_once
 from dcrobot.network.switchgear import SwitchRole
 from dcrobot.topology import build_fattree
 from dcrobot.topology.smi import SmiTracker, compute_smi
+from dcrobot.traffic.driver import TrafficDriver
 from dcrobot.traffic.state import TrafficState
 from dcrobot.twin import TwinWorld
 
@@ -127,6 +128,7 @@ def test_fork_rollout_beats_rebuild_rollout(benchmark):
         rebuilt_tracker = SmiTracker(rebuilt_topology)
         world = TwinWorld.wrap(rebuilt_topology.fabric,
                                rebuilt_traffic,
+                               driver=TrafficDriver(rebuilt_traffic),
                                rng=np.random.default_rng(7))
         world.smi_tracker = rebuilt_tracker
         return _rollout(world, link_ids)

@@ -487,8 +487,7 @@ class MaintenanceController:
                           and self.fleet.can_execute(action)
                           and rack_id is not None
                           and self.fleet.covers(rack_id))
-        if robots_allowed and not getattr(
-                self.fleet, "operational", lambda: True)():
+        if robots_allowed and not self.fleet.operational():
             # Graceful degradation: the fleet has fallen below its
             # health quorum — stop queueing orders on a dying fleet and
             # fall back to the technician pool.

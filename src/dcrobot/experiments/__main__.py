@@ -15,12 +15,15 @@ from dcrobot.experiments.parallel import (
 
 
 def build_parser() -> argparse.ArgumentParser:
+    ids = _ordered_ids()
+    first, last = ids[0], ids[-1]
     parser = argparse.ArgumentParser(
         prog="python -m dcrobot.experiments",
-        description="Reproduce the paper's experiments (E1-E14).")
+        description=(f"Reproduce the paper's experiments "
+                     f"({first.upper()}-{last.upper()})."))
     parser.add_argument(
         "experiment", nargs="?",
-        help="experiment id (e1..e14), 'all', or 'list'")
+        help=f"experiment id ({first}..{last}), 'all', or 'list'")
     parser.add_argument(
         "--list", action="store_true", dest="list_experiments",
         help="print each experiment id with its one-line description "

@@ -162,8 +162,8 @@ class WorldConfig:
     twin_planner: Optional[TwinPlannerConfig] = None
     #: Per-robot health model (wear, batteries, mid-order faults) plus
     #: heartbeats and — when ``self_healing`` is on — the fleet
-    #: watchdog/re-dispatch/quarantine machinery (S19).  ``None`` keeps
-    #: the legacy immortal fleet.
+    #: watchdog/re-dispatch/quarantine machinery (S19).  ``None``: no
+    #: unit ever leaves service (orders still dispatch fenced).
     robot_health: Optional[RobotHealthParams] = None
     #: -- campus composition (S20) ------------------------------------
     #: Number of halls.  1 keeps the classic single-hall world and is

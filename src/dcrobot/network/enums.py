@@ -97,6 +97,17 @@ class LinkState(enum.Enum):
         return self in (LinkState.UP, LinkState.FLAPPING)
 
 
+def is_flap(old: LinkState, new: LinkState) -> bool:
+    """Whether ``old -> new`` counts as a flap: it crosses UP<->non-UP.
+
+    Transitions into or out of MAINTENANCE are administrative: a repair
+    taking a link out of service is not the gray failure the flap
+    counter exists to catch.
+    """
+    return ((old is LinkState.UP) != (new is LinkState.UP)
+            and LinkState.MAINTENANCE not in (old, new))
+
+
 class DegradationKind(enum.Enum):
     """Root causes of link misbehaviour, mapped to the repairs that fix
     them (§3.2).

@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from dcrobot.network.cable import Cable
-from dcrobot.network.enums import LinkState
+from dcrobot.network.enums import LinkState, is_flap
 from dcrobot.network.state import CODE_OF
 from dcrobot.network.switchgear import Port
 from dcrobot.network.transceiver import Transceiver
@@ -132,17 +132,13 @@ class Link:
     def set_state(self, now: float, new_state: LinkState) -> bool:
         """Record a state transition; returns True if the state changed.
 
-        Administrative MAINTENANCE transitions do not count as flaps:
-        a repair taking a link out of service is not the gray failure the
-        flap counter exists to catch.
+        Administrative MAINTENANCE transitions do not count as flaps
+        (see :func:`~dcrobot.network.enums.is_flap`).
         """
         old_state = self._state
         if new_state is old_state:
             return False
-        administrative = (LinkState.MAINTENANCE in (old_state, new_state))
-        was_up = old_state is LinkState.UP
-        is_up = new_state is LinkState.UP
-        flapped = was_up != is_up and not administrative
+        flapped = is_flap(old_state, new_state)
         if flapped:
             self.transition_count += 1
         self.state = new_state
@@ -182,7 +178,7 @@ class Link:
         """UP<->non-UP flap transitions recorded within [start, end).
 
         Transitions into or out of MAINTENANCE are administrative and
-        excluded (see :meth:`set_state`).
+        excluded (see :func:`~dcrobot.network.enums.is_flap`).
         """
         count = 0
         previous_state = LinkState.UP
@@ -193,11 +189,7 @@ class Link:
                 continue
             if when >= end:
                 break
-            administrative = (LinkState.MAINTENANCE
-                              in (previous_state, new_state))
-            now_up = new_state is LinkState.UP
-            previous_up = previous_state is LinkState.UP
-            if now_up != previous_up and not administrative:
+            if is_flap(previous_state, new_state):
                 count += 1
             previous_state = new_state
         return count

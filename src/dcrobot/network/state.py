@@ -51,7 +51,7 @@ from typing import Callable, Dict, List
 
 import numpy as np
 
-from dcrobot.network.enums import LinkState
+from dcrobot.network.enums import LinkState, is_flap
 
 #: Dense integer codes for :class:`LinkState`; ``carries_traffic``
 #: states come first so ``code <= FLAPPING_CODE`` tests carrier-ness.
@@ -456,10 +456,7 @@ class FabricState:
             if state.carries_traffic:
                 uptime += when - cursor
             cursor = when
-            flapped = ((state is LinkState.UP)
-                       != (new_state is LinkState.UP)
-                       and LinkState.MAINTENANCE not in (state, new_state))
-            if flapped:
+            if is_flap(state, new_state):
                 self._log_flap(when, lid)
             down_at = when if new_state is LinkState.DOWN else np.nan
             state = new_state

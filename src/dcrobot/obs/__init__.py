@@ -5,6 +5,9 @@ The control plane is instrumented through one tiny facade,
 Every instrumented component takes ``obs=NULL_OBS`` and guards each
 site with ``if self.obs.enabled:`` — a single class-attribute load —
 so the disabled path adds (measurably) nothing to a trial.
+``NULL_OBS`` answers only ``enabled``: a site that skips its guard
+raises ``AttributeError`` in every unobserved run instead of quietly
+calling a no-op.
 
 Design rules the golden-trace tests enforce:
 
@@ -18,28 +21,15 @@ from __future__ import annotations
 
 from typing import Any, Optional
 
-from dcrobot.obs.metrics import (
-    NULL_REGISTRY,
-    MetricsRegistry,
-    NullRegistry,
-)
-from dcrobot.obs.trace import (
-    NULL_RECORDER,
-    NullRecorder,
-    Tracer,
-    trace_id_from_seed,
-)
+from dcrobot.obs.metrics import MetricsRegistry
+from dcrobot.obs.trace import Tracer, trace_id_from_seed
 
 __all__ = [
     "Observability",
     "NullObservability",
     "NULL_OBS",
     "MetricsRegistry",
-    "NullRegistry",
-    "NULL_REGISTRY",
     "Tracer",
-    "NullRecorder",
-    "NULL_RECORDER",
     "trace_id_from_seed",
     "observability_for_seed",
 ]
@@ -84,24 +74,10 @@ class Observability:
 
 
 class NullObservability:
-    """The default at every instrumentation site: does nothing."""
+    """The default at every instrumentation site: only ``enabled``."""
 
+    __slots__ = ()
     enabled = False
-    tracer = NULL_RECORDER
-    metrics = NULL_REGISTRY
-
-    def ordinal(self, kind: str, key: Any) -> int:
-        return 0
-
-    def count(self, name: str, value: float = 1.0,
-              **labels: Any) -> None:
-        return None
-
-    def gauge(self, name: str, value: float, **labels: Any) -> None:
-        return None
-
-    def observe(self, name: str, value: float, **labels: Any) -> None:
-        return None
 
 
 NULL_OBS = NullObservability()

@@ -234,8 +234,6 @@ class MetricsRegistry:
     programming error and raises.
     """
 
-    enabled = True
-
     def __init__(self):
         self._instruments: Dict[str, object] = {}
 
@@ -285,66 +283,3 @@ class MetricsRegistry:
 
     def __len__(self) -> int:
         return len(self._instruments)
-
-
-class NullRegistry:
-    """No-op registry backing ``NULL_OBS``; hands out shared no-op
-    instruments so even unguarded call sites stay cheap."""
-
-    enabled = False
-
-    class _NullInstrument:
-        kind = "null"
-        name = ""
-        help = ""
-        uppers = ()
-
-        def inc(self, value: float = 1.0, **labels: Any) -> None:
-            return None
-
-        def dec(self, value: float = 1.0, **labels: Any) -> None:
-            return None
-
-        def set(self, value: float, **labels: Any) -> None:
-            return None
-
-        def observe(self, value: float, **labels: Any) -> None:
-            return None
-
-        def value(self, **labels: Any) -> float:
-            return 0.0
-
-        def total(self) -> float:
-            return 0.0
-
-        def count(self, **labels: Any) -> int:
-            return 0
-
-        def sum(self, **labels: Any) -> float:
-            return 0.0
-
-        def samples(self) -> list:
-            return []
-
-    _INSTRUMENT = _NullInstrument()
-
-    def counter(self, name: str, help: str = ""):
-        return self._INSTRUMENT
-
-    def gauge(self, name: str, help: str = ""):
-        return self._INSTRUMENT
-
-    def histogram(self, name: str, buckets=None, help: str = ""):
-        return self._INSTRUMENT
-
-    def instruments(self) -> list:
-        return []
-
-    def __contains__(self, name: str) -> bool:
-        return False
-
-    def __len__(self) -> int:
-        return 0
-
-
-NULL_REGISTRY = NullRegistry()

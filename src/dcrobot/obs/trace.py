@@ -96,49 +96,8 @@ class Span:
         }
 
 
-class NullRecorder:
-    """The no-op tracer: every instrumentation site's default.
-
-    ``enabled`` is a class attribute so the hot-path guard
-    ``if obs.enabled:`` costs one attribute load and a branch.
-    """
-
-    enabled = False
-    trace_id = ""
-    root: Optional[Span] = None
-    spans: List[Span] = []
-
-    def open_root(self, name: str, **attributes: Any) -> None:
-        return None
-
-    def start_span(self, name: str, parent: Optional[Span] = None,
-                   **attributes: Any) -> None:
-        return None
-
-    def end_span(self, span: Optional[Span], status: str = "ok",
-                 **attributes: Any) -> None:
-        return None
-
-    def record(self, name: str, parent: Optional[Span] = None,
-               **attributes: Any) -> None:
-        return None
-
-    @contextmanager
-    def span(self, name: str, parent: Optional[Span] = None,
-             **attributes: Any):
-        yield None
-
-    def finish(self, status: str = "ok") -> None:
-        return None
-
-
-NULL_RECORDER = NullRecorder()
-
-
 class Tracer:
     """Records :class:`Span` trees against an injected sim clock."""
-
-    enabled = True
 
     def __init__(self, trace_id: str = "trace",
                  clock: Optional[Callable[[], float]] = None):

@@ -77,14 +77,15 @@ class FleetConfig:
 
 @dataclasses.dataclass
 class Assignment:
-    """One submitted order's dispatch state under fleet self-healing.
+    """One submitted order's dispatch state.
 
     Each (re)dispatch runs under a monotonically increasing *epoch*
     admitted through a per-order :class:`FencingGuard` — the literal
-    S14 fencing mechanism, reused at order granularity.  When the
-    watchdog re-dispatches an orphaned order, the guard advances, and a
-    zombie unit's late completion (stale epoch) is refused before it
-    can double-conclude the order.
+    S14 fencing mechanism, reused at order granularity.  The guard
+    admits an epoch's conclusion once.  When the self-healing watchdog
+    re-dispatches an orphaned order, the guard advances, and a zombie
+    unit's late completion (stale epoch) is refused before it can
+    double-conclude the order.
     """
 
     order: WorkOrder
@@ -139,8 +140,13 @@ class RobotFleet:
         self.busy_links: Dict[str, int] = {}
 
         # -- robot health / self-healing (attach_health wires these) ----
-        #: Per-robot health model; None keeps the legacy immortal fleet.
+        #: Per-robot health model; None keeps every unit in service.
         self.robot_health: Optional[RobotHealthModel] = None
+        #: unit id -> health record (the model's table; empty, so every
+        #: unit is in service, until ``attach_health``).
+        self.records: Dict[str, UnitHealth] = {}
+        #: In-service fraction below which the fleet takes no new work.
+        self.quorum_fraction = 0.0
         #: Telemetry monitor receiving unit heartbeats.
         self.monitor = None
         self.obs = NULL_OBS
@@ -219,11 +225,9 @@ class RobotFleet:
         return action in self.capabilities
 
     def _service_manipulators(self) -> List[ManipulatorRobot]:
-        """Manipulators fit for dispatch (all of them when no health
-        model is attached; only in-service units otherwise)."""
-        if self.robot_health is None:
-            return self.manipulators
-        records = self.robot_health.records
+        """Manipulators fit for dispatch: those without a record or
+        whose record is in service."""
+        records = self.records
         return [robot for robot in self.manipulators
                 if robot.id not in records
                 or records[robot.id].in_service]
@@ -246,8 +250,6 @@ class RobotFleet:
     def healthy_fraction(self) -> float:
         """In-service fraction of the manipulator fleet (1.0 when no
         health model is attached)."""
-        if self.robot_health is None or not self.manipulators:
-            return 1.0
         return len(self._service_manipulators()) / len(self.manipulators)
 
     def operational(self) -> bool:
@@ -256,12 +258,9 @@ class RobotFleet:
         Below quorum the controller falls back to humans (graceful
         degradation) instead of queueing orders on a dying fleet.
         """
-        if self.robot_health is None:
-            return True
         if not self._service_manipulators():
             return False
-        return (self.healthy_fraction()
-                >= self.robot_health.params.quorum_fraction)
+        return self.healthy_fraction() >= self.quorum_fraction
 
     def announce_touches(self, order: WorkOrder) -> List[str]:
         """Pre-maintenance contact announcement (§2)."""
@@ -284,14 +283,11 @@ class RobotFleet:
                 notes="stale fencing token: dispatching primary deposed"))
             return done
         self.pending_acks[order.order_id] = done
-        if self.robot_health is not None:
-            # Fenced dispatch: each (re)dispatch of this order runs
-            # under an epoch admitted through a per-order guard.
-            self.assignments[order.order_id] = Assignment(
-                order=order, done=done, guard=FencingGuard(obs=self.obs))
-            self.sim.process(self._execute(order, done, epoch=1))
-        else:
-            self.sim.process(self._execute(order, done))
+        # Fenced dispatch: each (re)dispatch of this order runs under an
+        # epoch admitted through a per-order guard.
+        self.assignments[order.order_id] = Assignment(
+            order=order, done=done, guard=FencingGuard(obs=self.obs))
+        self.sim.process(self._execute(order, done, epoch=1))
         return done
 
     def _depot_rack_id(self) -> str:
@@ -326,6 +322,8 @@ class RobotFleet:
         recovery.
         """
         self.robot_health = model
+        self.records = model.records
+        self.quorum_fraction = model.params.quorum_fraction
         self.monitor = monitor
         if obs is not None:
             self.obs = obs
@@ -346,9 +344,7 @@ class RobotFleet:
         return None
 
     def _record_for(self, unit) -> Optional[UnitHealth]:
-        if self.robot_health is None:
-            return None
-        return self.robot_health.record_for(unit.id)
+        return self.records.get(unit.id)
 
     def _heartbeat_loop(self):
         """Generator: units report liveness into the telemetry monitor.
@@ -444,8 +440,7 @@ class RobotFleet:
         in_service = self._service_manipulators()
         reachable = any(robot.can_reach(rack_id)
                         for robot in in_service)
-        if (not reachable or self.healthy_fraction()
-                < self.robot_health.params.quorum_fraction):
+        if not reachable or self.healthy_fraction() < self.quorum_fraction:
             # Graceful degradation: too few healthy units (or none in
             # range) — conclude needs-human under the new epoch so the
             # controller escalates instead of waiting forever.
@@ -562,34 +557,26 @@ class RobotFleet:
         return robot
 
     def _fail(self, order: WorkOrder, done: Event, note: str,
-              needs_human: bool = True,
-              epoch: Optional[int] = None) -> None:
+              epoch: int) -> None:
         outcome = RepairOutcome(
             order=order, executor_id=self.executor_id,
             started_at=self.sim.now, finished_at=self.sim.now,
-            completed=False, needs_human=needs_human, notes=note)
+            completed=False, needs_human=True, notes=note)
         self._finish(order, done, outcome, epoch)
 
     def _finish(self, order: WorkOrder, done: Event,
-                outcome: RepairOutcome,
-                epoch: Optional[int]) -> bool:
-        """Conclude an order — through its fencing guard when epoched.
+                outcome: RepairOutcome, epoch: int) -> bool:
+        """Conclude an order through its fencing guard.
 
         A stale epoch (the order was re-dispatched while this unit was
-        lost) is refused: the outcome is dropped and the ``done`` event
-        left to the replacement.  Returns whether the conclusion was
-        accepted.
+        lost, or this epoch already concluded) is refused: the outcome
+        is dropped and the ``done`` event left to the replacement.
+        Returns whether the conclusion was accepted.
         """
-        if epoch is None:
-            # Legacy path (no health model): conclude directly.
-            self.outcomes.append(outcome)
-            done.succeed(outcome)
-            return True
-        assignment = self.assignments.get(order.order_id)
-        guard = assignment.guard if assignment is not None else None
-        if guard is not None and not guard.admit(
-                epoch, time=self.sim.now, order_id=order.order_id,
-                link_id=order.link_id):
+        guard = self.assignments[order.order_id].guard
+        if not guard.admit(epoch, time=self.sim.now,
+                           order_id=order.order_id,
+                           link_id=order.link_id):
             self.zombie_refusals += 1
             if self.obs.enabled:
                 self.obs.count("dcrobot_robot_zombie_refusals_total")
@@ -601,23 +588,18 @@ class RobotFleet:
             self.zombie_acks_accepted += 1
             return False
         self.outcomes.append(outcome)
-        if guard is not None:
-            # Retire the epoch: conclusion is at-most-once, so even a
-            # same-epoch duplicate is now refused as stale instead of
-            # reaching the tripwire above.
-            guard.advance(epoch + 1)
+        # Retire the epoch: conclusion is at-most-once, so even a
+        # same-epoch duplicate is now refused as stale instead of
+        # reaching the tripwire above.
+        guard.advance(epoch + 1)
         done.succeed(outcome)
         return True
 
-    def _superseded(self, order: WorkOrder, epoch: Optional[int]) -> bool:
+    def _superseded(self, order: WorkOrder, epoch: int) -> bool:
         """Whether this execution's epoch has been fenced out."""
-        if epoch is None:
-            return False
-        assignment = self.assignments.get(order.order_id)
-        return assignment is not None and assignment.epoch != epoch
+        return self.assignments[order.order_id].epoch != epoch
 
-    def _execute(self, order: WorkOrder, done: Event,
-                 epoch: Optional[int] = None):
+    def _execute(self, order: WorkOrder, done: Event, epoch: int):
         sim = self.sim
         link = self.fabric.links[order.link_id]
         if not self.can_execute(order.action):
@@ -639,9 +621,8 @@ class RobotFleet:
             cleaner = yield from self._acquire(self._idle_cleaners,
                                                rack_id)
         record = self._record_for(manipulator)
-        assignment = self.assignments.get(order.order_id)
-        if (assignment is not None and epoch is not None
-                and assignment.epoch == epoch):
+        assignment = self.assignments[order.order_id]
+        if assignment.epoch == epoch:
             assignment.unit_id = manipulator.id
         plan = (self.chaos.plan_for(order, sim.now)
                 if self.chaos is not None else None)

@@ -31,7 +31,7 @@ knob re-runs that comparison on live traffic.
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Dict, Optional, Union
+from typing import Callable, Dict, Optional
 
 import numpy as np
 
@@ -263,5 +263,3 @@ class CampusReadModel:
         for model in self.halls.values():
             model.verify_status_parity()
 
-
-ReadModelLike = Union[ReadModel, CampusReadModel]

@@ -158,9 +158,7 @@ class MaintenanceService:
                 (lambda world=world: world.live_controller),
                 world.fabric, smi_tracker=smi_trackers.get(hall))
             for hall, world in self.worlds.items()}
-        self.read = (CampusReadModel(self.readmodels)
-                     if len(self.readmodels) > 1
-                     else self.readmodels[next(iter(self.readmodels))])
+        self.read = CampusReadModel(self.readmodels)
         self.bridge = SimBridge(
             [world.sim for world in self.worlds.values()],
             self.config.bridge, clock=clock, sleep=sleep)

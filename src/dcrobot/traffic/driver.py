@@ -38,8 +38,7 @@ class WindowStats:
 
 def window_stats(now: float, traffic: TrafficState,
                  result: WindowResult) -> WindowStats:
-    """The log record of one window ``traffic`` just offered — shared
-    by the live driver and twin rollouts."""
+    """The log record of one window ``traffic`` just offered."""
     samples = result.fct[result.routable]
     p50 = p99 = float("nan")
     if len(samples):
@@ -97,14 +96,36 @@ class TrafficDriver:
         self.windows: List[WindowStats] = []
         self._next_flow_id = 0
 
+    def fork(self, traffic: TrafficState,
+             rng: np.random.Generator) -> "TrafficDriver":
+        """This driver's workload continued on another engine.
+
+        The fork keeps the cadence, sample period, flow count, pattern,
+        schedule and flow-id watermark, so its next window is the one
+        this driver would offer next; it draws from ``rng`` and logs
+        into its own empty window list.
+        """
+        child = TrafficDriver(traffic, rng=rng,
+                              window_seconds=self.window_seconds,
+                              flows_per_window=self.flows_per_window,
+                              pattern=self.pattern,
+                              schedule=self.schedule,
+                              sample_seconds=self.sample_seconds)
+        child._next_flow_id = self._next_flow_id
+        return child
+
     def run(self, sim):
         """The generator process: one offered window per period."""
         while True:
             yield sim.timeout(self.window_seconds)
             self.offer(sim.now)
 
-    def offer(self, now: float) -> WindowStats:
-        """Offer one window at simulated time ``now``."""
+    def offer(self, now: float) -> WindowResult:
+        """Offer one window at simulated time ``now``.
+
+        Logs the window's :class:`WindowStats` and returns the engine's
+        per-flow :class:`~dcrobot.traffic.state.WindowResult`.
+        """
         count, pattern = self.flows_per_window, self.pattern
         if self.schedule is not None:
             count, pattern = self.schedule(now)
@@ -118,9 +139,8 @@ class TrafficDriver:
         self._next_flow_id += count
         result = traffic.offer_window(src, dst, sizes, flow_ids,
                                       self.sample_seconds)
-        stats = window_stats(now, traffic, result)
-        self.windows.append(stats)
-        return stats
+        self.windows.append(window_stats(now, traffic, result))
+        return result
 
     # -- reporting -----------------------------------------------------------
 

@@ -14,8 +14,10 @@ columnar substrate:
   twin only re-picks the member resolution that matches its own loss;
 * a forked RNG substream keeps the twin's stochastic draws independent
   of — and reproducible against — the live world;
-* an optional journal snapshot (``controller.snapshot_state()`` from
-  S14) pins the controller's exact logical state at fork time;
+* :meth:`~dcrobot.traffic.driver.TrafficDriver.fork` continues the live
+  traffic matrix (cadence, flow counts, pattern, schedule and flow-id
+  watermark) on the twin's engine and substream, so a twin window is
+  offered by the live driver's own code;
 * an optional :meth:`~dcrobot.topology.smi.SmiTracker.fork` aggregate
   snapshot makes predicted-SMI queries O(1) inside the twin.
 
@@ -34,11 +36,9 @@ from typing import List, Optional
 
 import numpy as np
 
-from dcrobot.network.enums import LinkState
+from dcrobot.network.enums import LinkState, is_flap
 from dcrobot.network.state import CODE_OF, STATE_OF, FabricState
-from dcrobot.traffic.driver import WindowStats, window_stats
-from dcrobot.traffic.flows import sample_sizes
-from dcrobot.traffic.patterns import UniformPattern
+from dcrobot.traffic.driver import TrafficDriver
 from dcrobot.traffic.state import TrafficState, WindowResult
 
 
@@ -72,41 +72,20 @@ class TwinWorld:
                  traffic: Optional[TrafficState],
                  rng: np.random.Generator,
                  now: float = 0.0,
-                 window_seconds: float = 1800.0,
-                 sample_seconds: Optional[float] = None,
-                 flows_per_window: int = 500,
-                 pattern=None,
-                 schedule=None,
-                 next_flow_id: int = 0,
-                 controller_snapshot: Optional[dict] = None,
+                 driver: Optional[TrafficDriver] = None,
                  smi=None,
                  owns_fork: bool = False) -> None:
-        if window_seconds <= 0:
-            raise ValueError("window_seconds must be > 0")
-        if sample_seconds is not None and sample_seconds <= 0:
-            raise ValueError("sample_seconds must be > 0")
-        if flows_per_window < 0:
-            raise ValueError("flows_per_window must be >= 0")
         self.fabric = fabric
         self.state = fabric_state
         self.traffic = traffic
-        self.rng = rng
         self.now = float(now)
-        self.window_seconds = float(window_seconds)
-        self.sample_seconds = (float(sample_seconds)
-                               if sample_seconds is not None
-                               else float(window_seconds))
-        self.flows_per_window = int(flows_per_window)
-        self.pattern = pattern or UniformPattern()
-        self.schedule = schedule
-        self.next_flow_id = int(next_flow_id)
-        #: The controller's logical state at fork time (S14 journal
-        #: snapshot) — incidents, orders, counters, fencing token.
-        self.controller_snapshot = controller_snapshot
+        #: The twin's own traffic driver: ``driver`` continued on this
+        #: twin's engine and substream (defaults without one).
+        self.driver = (driver.fork(traffic, rng) if driver is not None
+                       else TrafficDriver(traffic, rng=rng))
         #: Detached SMI aggregates (``SmiTracker.fork()``), advanced by
         #: the replace vocabulary below.
         self.smi_tracker = smi
-        self.windows: List[WindowStats] = []
         self._owns_fork = owns_fork
         self._closed = False
 
@@ -114,56 +93,35 @@ class TwinWorld:
 
     @classmethod
     def fork(cls, fabric, traffic: Optional[TrafficState] = None,
-             driver=None, rng: Optional[np.random.Generator] = None,
-             now: float = 0.0, controller=None,
-             smi_tracker=None, **overrides) -> "TwinWorld":
+             driver: Optional[TrafficDriver] = None,
+             rng: Optional[np.random.Generator] = None,
+             now: float = 0.0, smi_tracker=None) -> "TwinWorld":
         """Copy-on-write twin of a live world.
 
-        ``driver`` (a :class:`~dcrobot.traffic.driver.TrafficDriver`)
-        donates the live traffic-matrix parameters — window cadence,
-        flow counts, pattern, schedule, and the flow-id watermark — so
-        :meth:`roll` continues the live workload; pass ``overrides``
-        to diverge from it.  ``rng`` should be a dedicated substream
-        (e.g. ``streams.stream("twin:plan-3")``) so twin draws never
-        consume the live world's streams.
+        ``driver`` (the live :class:`~dcrobot.traffic.driver.TrafficDriver`)
+        is forked onto the twin's engine, so :meth:`roll` continues the
+        live workload.  ``rng`` should be a dedicated substream (e.g.
+        ``streams.stream("twin:plan-3")``) so twin draws never consume
+        the live world's streams.
         """
         fs_child = fabric.state.fork()
         twin_fabric = TwinFabric(fabric, fs_child)
         twin_rng = rng if rng is not None else np.random.default_rng(0)
         twin_traffic = (traffic.fork(twin_fabric, rng=twin_rng)
                         if traffic is not None else None)
-        params = dict(
-            window_seconds=1800.0, sample_seconds=None,
-            flows_per_window=500, pattern=None, schedule=None,
-            next_flow_id=0)
-        if driver is not None:
-            params.update(
-                window_seconds=driver.window_seconds,
-                sample_seconds=driver.sample_seconds,
-                flows_per_window=driver.flows_per_window,
-                pattern=driver.pattern,
-                schedule=driver.schedule,
-                next_flow_id=driver._next_flow_id)
-        params.update(overrides)
-        snapshot = (controller.snapshot_state()
-                    if controller is not None else None)
         smi = smi_tracker.fork() if smi_tracker is not None else None
-        try:
-            return cls(twin_fabric, fs_child, twin_traffic, twin_rng,
-                       now=now, controller_snapshot=snapshot, smi=smi,
-                       owns_fork=True, **params)
-        except ValueError:
-            fs_child.cow_release()  # no twin owns the fork to close it
-            raise
+        return cls(twin_fabric, fs_child, twin_traffic, twin_rng,
+                   now=now, driver=driver, smi=smi, owns_fork=True)
 
     @classmethod
     def wrap(cls, fabric, traffic: Optional[TrafficState] = None,
+             driver: Optional[TrafficDriver] = None,
              rng: Optional[np.random.Generator] = None,
-             now: float = 0.0, **params) -> "TwinWorld":
+             now: float = 0.0) -> "TwinWorld":
         """The twin vocabulary over a world owned outright (no fork)."""
         return cls(fabric, fabric.state, traffic,
                    rng if rng is not None else np.random.default_rng(0),
-                   now=now, owns_fork=False, **params)
+                   now=now, driver=driver, owns_fork=False)
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -191,20 +149,15 @@ class TwinWorld:
 
     def set_link_state(self, link_id: str, new_state: LinkState,
                        now: Optional[float] = None) -> bool:
-        """Column-wise twin of ``Link.set_state`` (same flap rule)."""
+        """Column-wise twin of ``Link.set_state``."""
         when = self.now if now is None else float(now)
         row = self._row(link_id)
         old_state = STATE_OF[int(self.state.state_code[row])]
         if new_state is old_state:
             return False
-        administrative = (LinkState.MAINTENANCE
-                          in (old_state, new_state))
-        was_up = old_state is LinkState.UP
-        is_up = new_state is LinkState.UP
-        flapped = was_up != is_up and not administrative
         self.state.state_code[row] = CODE_OF[new_state]
         self.state.on_transition(row, when, old_state, new_state,
-                                 flapped)
+                                 is_flap(old_state, new_state))
         return True
 
     def drain(self, link_id: str) -> None:
@@ -288,25 +241,11 @@ class TwinWorld:
     # -- rolling the twin forward ---------------------------------------------
 
     def offer_window(self) -> WindowResult:
-        """One traffic window at the twin's clock (driver semantics:
-        same pattern/size/flow-id draw order as ``TrafficDriver.offer``)."""
+        """One driver window at the twin's clock."""
         if self.traffic is None:
             raise RuntimeError("twin has no traffic engine")
-        self.now += self.window_seconds
-        count, pattern = self.flows_per_window, self.pattern
-        if self.schedule is not None:
-            count, pattern = self.schedule(self.now)
-        n_endpoints = len(self.traffic.endpoints)
-        src, dst = pattern.pairs(self.rng, count, n_endpoints)
-        sizes = sample_sizes(self.rng, count)
-        flow_ids = np.arange(self.next_flow_id,
-                             self.next_flow_id + count,
-                             dtype=np.int64)
-        self.next_flow_id += count
-        result = self.traffic.offer_window(src, dst, sizes, flow_ids,
-                                           self.sample_seconds)
-        self.windows.append(window_stats(self.now, self.traffic, result))
-        return result
+        self.now += self.driver.window_seconds
+        return self.driver.offer(self.now)
 
     def roll(self, windows: int) -> List[WindowResult]:
         """Advance ``windows`` traffic windows; returns their results."""
@@ -320,12 +259,6 @@ class TwinWorld:
             raise RuntimeError("twin was forked without an SmiTracker")
         return self.smi_tracker.report().smi
 
-    def p99_fct(self, windows: Optional[List[WindowStats]] = None) \
-            -> float:
+    def p99_fct(self) -> float:
         """p99 of per-window p99 FCTs over the rolled windows."""
-        pool = self.windows if windows is None else windows
-        samples = [w.p99_fct for w in pool
-                   if not np.isnan(w.p99_fct)]
-        if not samples:
-            return float("nan")
-        return float(np.percentile(samples, 99))
+        return self.driver.p99_over(self.driver.windows)

@@ -53,6 +53,9 @@ class ScriptedExecutor:
     def covers(self, rack_id):
         return True
 
+    def operational(self):
+        return True  # a scripted fleet never falls below quorum
+
     def announce_touches(self, order):
         return []
 

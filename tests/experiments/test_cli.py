@@ -2,6 +2,7 @@
 
 import pytest
 
+from dcrobot.experiments import REGISTRY
 from dcrobot.experiments.__main__ import (
     build_parser,
     execution_from_args,
@@ -21,6 +22,15 @@ def test_defaults():
     assert execution.trials == 1
     assert execution.cache is not None
     assert execution.cache.root == DEFAULT_CACHE_DIR
+
+
+def test_help_names_the_registry_range(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "200")  # no wrapping inside a range
+    numbers = sorted(int(eid[1:]) for eid in REGISTRY)
+    first, last = numbers[0], numbers[-1]
+    text = build_parser().format_help()
+    assert f"experiments (E{first}-E{last})" in text
+    assert f"experiment id (e{first}..e{last})" in text
 
 
 def test_jobs_and_trials_flags():

@@ -11,6 +11,7 @@ from dcrobot.network import (
     LinkState,
     SwitchRole,
 )
+from dcrobot.network.enums import is_flap
 
 
 @pytest.fixture
@@ -189,6 +190,32 @@ def test_link_state_timeline_and_uptime(fabric):
     assert link.transition_count == 2
     assert link.transitions_in_window(0.0, 100.0) == 2
     assert link.transitions_in_window(15.0, 100.0) == 1
+
+
+def test_maintenance_transitions_are_not_flaps(fabric):
+    """Taking a link out of service and back is administrative: the
+    setter, the window count and the fabric's flap log all apply
+    ``is_flap``, which counts only UP<->non-UP crossings outside
+    MAINTENANCE."""
+    assert [state for state in LinkState
+            if is_flap(LinkState.UP, state)] \
+        == [LinkState.FLAPPING, LinkState.DOWN]
+    assert not is_flap(LinkState.MAINTENANCE, LinkState.UP)
+    assert not is_flap(LinkState.DOWN, LinkState.FLAPPING)
+    a = fabric.add_switch(SwitchRole.TOR, radix=4,
+                          rack_id=place(fabric, 0, 0))
+    b = fabric.add_switch(SwitchRole.TOR, radix=4,
+                          rack_id=place(fabric, 0, 1))
+    link = fabric.connect(a.id, b.id)
+    for when, state in ((10.0, LinkState.MAINTENANCE),
+                        (20.0, LinkState.UP),
+                        (30.0, LinkState.DOWN),
+                        (40.0, LinkState.MAINTENANCE),
+                        (50.0, LinkState.UP)):
+        link.set_state(when, state)
+    assert link.transition_count == 1  # only UP -> DOWN at t=30
+    assert link.transitions_in_window(0.0, 100.0) == 1
+    assert fabric.state.flap_events(0.0, 100.0) == 1
 
 
 def test_uptime_counts_flapping_as_carrying(fabric):

@@ -6,12 +6,10 @@ import pytest
 from dcrobot.obs.metrics import (
     COUNT_BUCKETS,
     MTTR_BUCKETS,
-    NULL_REGISTRY,
     Counter,
     Gauge,
     Histogram,
     MetricsRegistry,
-    NullRegistry,
 )
 
 
@@ -148,14 +146,3 @@ def test_registry_instruments_sorted_by_name():
     registry.gauge("alpha")
     assert [name for name, _ in registry.instruments()] \
         == ["alpha", "zebra"]
-
-
-def test_null_registry_is_inert():
-    assert NullRegistry.enabled is False
-    instrument = NULL_REGISTRY.counter("anything")
-    instrument.inc(5.0, label="x")
-    assert instrument.value() == 0.0
-    assert NULL_REGISTRY.histogram("h") is NULL_REGISTRY.gauge("g")
-    assert NULL_REGISTRY.instruments() == []
-    assert len(NULL_REGISTRY) == 0
-    assert "anything" not in NULL_REGISTRY

@@ -6,8 +6,6 @@ import numpy as np
 import pytest
 
 from dcrobot.obs.trace import (
-    NULL_RECORDER,
-    NullRecorder,
     Span,
     Tracer,
     trace_id_from_seed,
@@ -124,17 +122,3 @@ def test_finish_closes_the_root():
     assert root.end == 9.0
     tracer.finish()  # idempotent
     assert root.end == 9.0
-
-
-def test_null_recorder_does_nothing_and_is_disabled():
-    assert NullRecorder.enabled is False
-    assert Tracer.enabled is True
-    recorder = NULL_RECORDER
-    assert recorder.open_root("world") is None
-    assert recorder.start_span("s") is None
-    assert recorder.record("r") is None
-    recorder.end_span(None)
-    recorder.finish()
-    with recorder.span("ctx") as span:
-        assert span is None
-    assert recorder.spans == []

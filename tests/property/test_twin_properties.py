@@ -22,6 +22,7 @@ from dcrobot.network.state import _COW_ATTRS
 from dcrobot.network.switchgear import SwitchRole
 from dcrobot.sim.rng import RandomStreams
 from dcrobot.topology import build_fattree
+from dcrobot.traffic.driver import TrafficDriver
 from dcrobot.traffic.state import TrafficState
 from dcrobot.twin import TwinWorld
 
@@ -169,14 +170,15 @@ def test_twin_rollout_bit_identical_to_independent_world(
         fs.loss_rate[lossy_index % fs.n_links] = 0.02
         return topology, traffic
 
-    params = dict(window_seconds=60.0, sample_seconds=1.0,
-                  flows_per_window=flows)
+    def driver(traffic):
+        return TrafficDriver(traffic, window_seconds=60.0,
+                             sample_seconds=1.0, flows_per_window=flows)
+
     topology, parent = build()
     link_ids = list(topology.fabric.links)
     target = link_ids[maintenance_index % len(link_ids)]
-    live = TwinWorld.wrap(topology.fabric, parent,
-                          rng=RandomStreams(seed).stream("live"),
-                          **params)
+    live = TwinWorld.wrap(topology.fabric, parent, driver=driver(parent),
+                          rng=RandomStreams(seed).stream("live"))
     live.roll(1)
     parent.drain(target)
     live.roll(1)
@@ -203,14 +205,14 @@ def test_twin_rollout_bit_identical_to_independent_world(
                     world.traffic.projected_group_utilization(link_id)
                     for link_id in link_ids])
         stats = [[(w.p99_fct, w.offered_bytes, w.congestion_lost_bytes,
-                   w.maintenance_active) for w in world.windows]
+                   w.maintenance_active) for w in world.driver.windows]
                  for world in worlds]
         return zip(projected, [results[-1] for results in last], stats)
 
     names = ("twin:a", "twin:b")
     forks = [TwinWorld.fork(topology.fabric, parent,
-                            rng=RandomStreams(seed).stream(name),
-                            **params)
+                            driver=driver(parent),
+                            rng=RandomStreams(seed).stream(name))
              for name in names]
     fork_runs = list(play(forks))
     for fork in forks:
@@ -223,7 +225,7 @@ def test_twin_rollout_bit_identical_to_independent_world(
         rng = RandomStreams(seed).stream(name)
         cold_traffic.rng = rng  # a fork draws retries from its stream
         cold = TwinWorld.wrap(cold_topology.fabric, cold_traffic,
-                              rng=rng, **params)
+                              driver=driver(cold_traffic), rng=rng)
         [(cold_projected, cold_last, cold_stats)] = play([cold])
         assert projected == cold_projected  # ==, not approx: bitwise
         assert np.array_equal(last.fct, cold_last.fct, equal_nan=True)

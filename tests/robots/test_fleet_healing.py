@@ -11,7 +11,12 @@ import numpy as np
 import pytest
 
 from dcrobot.chaos import ChaosConfig, RobotChaos
-from dcrobot.core.actions import Priority, RepairAction, WorkOrder
+from dcrobot.core.actions import (
+    Priority,
+    RepairAction,
+    RepairOutcome,
+    WorkOrder,
+)
 from dcrobot.core.planner import TwinPlanner, TwinPlannerConfig
 from dcrobot.network import LinkState
 from dcrobot.robots import RobotFleet
@@ -264,7 +269,30 @@ def test_fleet_without_health_model_is_unchanged():
     done = fleet.submit(reseat(world.links[0]))
     world.sim.run(until=done)
     assert done.value.completed
-    assert fleet.assignments == {}  # legacy path: no fenced dispatch
+    # One fenced path for every fleet: the order ran at epoch 1.
+    [assignment] = fleet.assignments.values()
+    assert assignment.order is done.value.order
+    assert assignment.epoch == 1 and assignment.redispatches == 0
+
+
+def test_fleet_without_health_model_concludes_each_order_once():
+    """A second conclusion of a concluded order is refused through the
+    order's guard, without a health model too."""
+    world = make_world()
+    fleet = RobotFleet(world.sim, world.fabric, world.health,
+                       world.physics, rng=np.random.default_rng(5))
+    done = fleet.submit(reseat(world.links[0]))
+    world.sim.run(until=done)
+    first = done.value
+    late = RepairOutcome(order=first.order, executor_id=fleet.executor_id,
+                         started_at=first.started_at,
+                         finished_at=world.sim.now, completed=True,
+                         notes="late duplicate")
+    assert not fleet._finish(first.order, done, late, epoch=1)
+    assert fleet.zombie_refusals == 1
+    assert fleet.zombie_acks_accepted == 0
+    assert done.value is first
+    assert fleet.outcomes == [first]
 
 
 def test_planner_dispatch_quota_scales_with_fleet_health():

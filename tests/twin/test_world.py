@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 
 from dcrobot.network.enums import LinkState
-from dcrobot.network.state import _COW_ATTRS, _CowColumn
+from dcrobot.network.state import _COW_ATTRS
 from dcrobot.network.switchgear import SwitchRole
 from dcrobot.sim.rng import RandomStreams
 from dcrobot.topology import build_fattree
 from dcrobot.topology.smi import SmiTracker, compute_smi
 from dcrobot.traffic.driver import TrafficDriver
+from dcrobot.traffic.patterns import HotspotPattern
 from dcrobot.traffic.state import TrafficState
 from dcrobot.twin import TwinWorld
 
@@ -169,22 +170,6 @@ def test_replace_cable_moves_smi_serviceability():
     tracker.close()
 
 
-@pytest.mark.parametrize("params,message", [
-    ({"window_seconds": 0.0}, "window_seconds must be > 0"),
-    ({"sample_seconds": 0.0}, "sample_seconds must be > 0"),
-    ({"flows_per_window": -5}, "flows_per_window must be >= 0"),
-])
-def test_fork_rejects_bad_window_parameters(params, message):
-    topology, traffic = make_world()
-    fs = topology.fabric.state
-    with pytest.raises(ValueError, match=message):
-        TwinWorld.fork(topology.fabric, traffic, **params)
-    # The failed fork released its shares: the parent's columns are
-    # plain arrays again, with no write barrier left behind.
-    assert not any(isinstance(getattr(fs, name), _CowColumn)
-                   for name in _COW_ATTRS)
-
-
 # -- rolling and predictions --------------------------------------------------
 
 
@@ -203,36 +188,58 @@ def test_predicted_smi_without_tracker_raises():
 
 
 def test_fork_inherits_driver_parameters():
-    topology, traffic = make_world()
-    driver = TrafficDriver(traffic,
-                           rng=np.random.default_rng(3),
-                           window_seconds=600.0,
-                           sample_seconds=2.0,
-                           flows_per_window=50)
-    driver.offer(now=600.0)
-    with TwinWorld.fork(topology.fabric, traffic,
-                        driver=driver, now=600.0) as twin:
-        assert twin.window_seconds == 600.0
-        assert twin.sample_seconds == 2.0
-        assert twin.flows_per_window == 50
-        assert twin.next_flow_id == driver._next_flow_id
+    """A twin's windows are the live driver's next windows, bit for
+    bit: the live driver continuing on an identically built cold world
+    with the twin's substream offers the same stats and per-flow
+    results."""
+    hot = HotspotPattern(hot_endpoints=1, hot_probability=0.5)
+
+    def day_night(now):
+        return (40 if now % 1200 else 20), hot
+
+    def build():
+        topology, traffic = make_world()
+        driver = TrafficDriver(traffic,
+                               rng=np.random.default_rng(3),
+                               window_seconds=600.0,
+                               sample_seconds=2.0,
+                               flows_per_window=50,
+                               schedule=day_night)
+        driver.offer(now=600.0)
+        return topology, traffic, driver
+
+    topology, traffic, driver = build()
+    with TwinWorld.fork(topology.fabric, traffic, driver=driver,
+                        rng=RandomStreams(4).stream("twin"),
+                        now=600.0) as twin:
         results = twin.roll(3)
-    assert len(results) == 3
-    assert len(twin.windows) == 3
     assert twin.now == 600.0 + 3 * 600.0
-    assert twin.next_flow_id == driver._next_flow_id + 3 * 50
     # twin rolls never advanced the live driver or its matrix log
     assert len(driver.windows) == 1
+    assert driver._next_flow_id == 40
+
+    _cold_topology, cold_traffic, cold = build()
+    rng = RandomStreams(4).stream("twin")
+    cold.rng = cold_traffic.rng = rng  # a fork draws from its stream
+    cold_results = [cold.offer(now) for now in (1200.0, 1800.0, 2400.0)]
+    assert [w.flows for w in cold.windows] == [40, 20, 40, 20]
+    assert twin.driver.windows == cold.windows[1:]
+    assert twin.driver._next_flow_id == cold._next_flow_id
+    for got, expected in zip(results, cold_results):
+        assert np.array_equal(got.fct, expected.fct, equal_nan=True)
+        assert np.array_equal(got.routable, expected.routable)
+        assert np.array_equal(got.offered, expected.offered)
+        assert np.array_equal(got.congestion, expected.congestion)
 
 
 def test_roll_leaves_live_utilization_untouched():
     topology, traffic = make_world()
     n = topology.fabric.state.n_links
     live_before = traffic.util_bytes.values[:n].copy()
-    with TwinWorld.fork(topology.fabric, traffic,
-                        rng=RandomStreams(99).stream("twin"),
-                        flows_per_window=200,
-                        window_seconds=60.0) as twin:
+    driver = TrafficDriver(traffic, window_seconds=60.0,
+                           flows_per_window=200)
+    with TwinWorld.fork(topology.fabric, traffic, driver=driver,
+                        rng=RandomStreams(99).stream("twin")) as twin:
         twin.roll(2)
         assert float(twin.traffic.util_bytes.values[:n].sum()) > 0
     assert np.array_equal(traffic.util_bytes.values[:n], live_before)
@@ -247,14 +254,14 @@ def test_p99_fct_empty_is_nan():
 def test_maintenance_windows_are_flagged():
     topology, traffic = make_world()
     link_id = next(iter(topology.fabric.links))
-    with TwinWorld.fork(topology.fabric, traffic,
-                        rng=np.random.default_rng(5),
-                        flows_per_window=100,
-                        window_seconds=60.0) as twin:
+    driver = TrafficDriver(traffic, window_seconds=60.0,
+                           flows_per_window=100)
+    with TwinWorld.fork(topology.fabric, traffic, driver=driver,
+                        rng=np.random.default_rng(5)) as twin:
         twin.roll(1)
         twin.begin_maintenance(link_id)
         twin.roll(1)
         twin.repair_link(link_id)
         twin.roll(1)
-        flags = [w.maintenance_active for w in twin.windows]
+        flags = [w.maintenance_active for w in twin.driver.windows]
     assert flags == [False, True, False]

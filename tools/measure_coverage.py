@@ -34,6 +34,8 @@ TARGETS = ("src/dcrobot/core", "src/dcrobot/chaos",
            "src/dcrobot/shard", "src/dcrobot/service",
            "src/dcrobot/failures",
            "src/dcrobot/network/state.py",
+           "src/dcrobot/network/link.py",
+           "src/dcrobot/network/enums.py",
            "src/dcrobot/network/transceiver.py",
            "src/dcrobot/network/cable.py",
            "src/dcrobot/network/switchgear.py",

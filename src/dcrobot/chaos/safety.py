@@ -23,8 +23,10 @@ signature failure of the naive (no-timeout) controller under ack loss.
 
 Each check costs O(change), not O(fabric + every incident ever
 opened): maintenance orphans come from the ``MAINTENANCE_CODE`` rows
-of the columnar state, and the escalation audit visits only open
-incidents plus those concluded since the previous check.
+of the columnar state, the escalation audit visits only open
+incidents plus those concluded since the previous check, and the
+drain-orphan audit builds the in-flight order ids only while the
+scheduler holds a drain.
 """
 
 from __future__ import annotations
@@ -207,8 +209,11 @@ class SafetyMonitor:
 
     def _check_drain_orphans(self):
         found = []
+        drains = self.scheduler.outstanding_drains()
+        if not drains:
+            return found  # no drain, no orphan: skip the in-flight set
         in_flight = self.controller.inflight_order_ids()
-        for order_id, links in self.scheduler.outstanding_drains().items():
+        for order_id, links in drains.items():
             if order_id not in in_flight:
                 found.append(
                     ((self.DRAIN_ORPHAN, str(order_id)),

@@ -399,14 +399,16 @@ class ControllerSupervisor:
                     adopted_orders=len(adopted))
                 obs.count("dcrobot_recoveries_total")
             self._rearm_telemetry(successor, adopted)
-        # Fencing handshake: executors learn the new token *before* the
-        # successor's first dispatch, so a zombie predecessor cannot
-        # slip an order in during the gap.
+        # Fencing handshake: executors and the shared scheduler learn
+        # the new token *before* the successor's first dispatch, so a
+        # zombie predecessor can neither slip an order in during the
+        # gap nor drain traffic for one.
         if token is not None:
             for executor in self._executor_map().values():
                 guard = getattr(executor, "fence", None)
                 if guard is not None:
                     guard.advance(token)
+            successor.scheduler.fence.advance(token)
         if self.safety is not None:
             self.safety.rebind(successor)
         self.controller = successor

@@ -6,6 +6,11 @@ traffic migrates ahead of the physical disturbance, and (ii) defers
 non-urgent proactive work to low-utilization windows ("During periods of
 low utilization, automation hardware can be used for proactive
 maintenance at little to no additional cost").
+
+The scheduler is shared by every controller a supervisor promotes, so
+it keeps its own :class:`~dcrobot.core.leadership.FencingGuard`: a
+deposed primary's order drains nothing, just as the executors refuse
+to run it.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ import dataclasses
 from typing import Dict, List, Optional
 
 from dcrobot.core.actions import WorkOrder
+from dcrobot.core.leadership import FencingGuard
 from dcrobot.traffic.routing import EcmpRouter
 
 SECONDS_PER_DAY = 86400.0
@@ -51,6 +57,9 @@ class ImpactAwareScheduler:
         self.config = config or SchedulerConfig()
         #: link ids drained per order id, for symmetric undrain.
         self._drained_for_order = {}
+        #: Refuses orders from a deposed primary; a supervisor advances
+        #: it in the same fencing handshake as the executors' guards.
+        self.fence = FencingGuard()
 
     # -- quiet-window timing ------------------------------------------------
 
@@ -72,8 +81,16 @@ class ImpactAwareScheduler:
     # -- drain management ---------------------------------------------------------
 
     def before_repair(self, order: WorkOrder) -> List[str]:
-        """Drain the target (and announced touches); returns drained ids."""
+        """Drain the target (and announced touches); returns drained ids.
+
+        An order whose fencing token the guard refuses drains nothing.
+        """
         if self.router is None and self.traffic is None:
+            return []
+        if not self.fence.admit(order.fencing_token,
+                                time=order.created_at,
+                                order_id=order.order_id,
+                                link_id=order.link_id):
             return []
         drained = [order.link_id]
         if self.config.drain_announced:

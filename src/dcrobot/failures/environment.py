@@ -52,6 +52,9 @@ class Environment:
 
     def vibration_level(self, now: float) -> float:
         """Sum of magnitudes of vibration episodes still active."""
+        if not self._vibrations:
+            # Every health scoring asks; most find no episode at all.
+            return 0.0
         self._vibrations = [(expiry, magnitude)
                             for expiry, magnitude in self._vibrations
                             if expiry > now]

@@ -1,10 +1,12 @@
 """ControllerSupervisor end-to-end: restart recovery, standby
 takeover with fencing, and the journal-less coldstart baseline —
 driven through scripted executors that expose the real executors'
-recovery surface (fencing guard + surviving work-order queue)."""
+recovery surface (fencing guard + surviving work-order queue) — plus
+one whole world in which a deposed primary tries to drain traffic."""
 
 import numpy as np
 
+from dcrobot.chaos.config import ChaosConfig
 from dcrobot.core import (
     AutomationLevel,
     ControllerConfig,
@@ -12,6 +14,7 @@ from dcrobot.core import (
     ReactivePolicy,
 )
 from dcrobot.core.actions import RepairOutcome
+from dcrobot.core.impact import ImpactConfig
 from dcrobot.core.journal import WriteAheadJournal
 from dcrobot.core.leadership import (
     FencingGuard,
@@ -19,6 +22,10 @@ from dcrobot.core.leadership import (
     LeaseCoordinator,
 )
 from dcrobot.core.recovery import ControllerSupervisor
+from dcrobot.core.resilience import ResilienceConfig
+from dcrobot.experiments.e17_twin_planning import TWIN
+from dcrobot.experiments.runner import WorldConfig, build_world
+from dcrobot.robots.health import RobotHealthParams
 from dcrobot.telemetry import TelemetryMonitor
 from dcrobot.telemetry.detectors import DetectorParams
 
@@ -204,3 +211,30 @@ def test_coldstart_without_journal_loses_the_muted_link(world):
     assert successor.open_incidents == {}
     assert successor.closed_incidents == []
     assert monitor.is_muted(link.id, world.sim.now)
+
+
+def test_a_deposed_primary_drains_no_traffic():
+    """Every subsystem on, seed 1: ``standby-2``'s promotion deposes
+    ``standby-1``, which still reaches ``scheduler.before_repair`` for
+    ``link-00000`` at t=273,900 before the executor's guard refuses its
+    order.  The scheduler's own guard refuses it first, so nothing is
+    drained and no drain outlives its order.  (Order ids are
+    process-global, so the refusal is matched on time and link.)"""
+    config = WorldConfig(
+        horizon_days=4.0, seed=1, failure_scale=4.0,
+        level=AutomationLevel.L3_HIGH_AUTOMATION, policy="proactive",
+        chaos=ChaosConfig.moderate(), controller_chaos=True,
+        journal=True, leadership=True, safety=True,
+        mute_ttl_seconds=2.0 * 86400.0,
+        controller_config=ControllerConfig(resilience=ResilienceConfig()),
+        robot_health=RobotHealthParams(self_healing=True),
+        traffic=True, traffic_max_equal_paths=4,
+        impact=ImpactConfig(), twin_planner=TWIN)
+    result = build_world(config)
+    result.sim.run(until=config.horizon_seconds)
+
+    assert result.supervisor.failovers > 1
+    assert result.safety.violations == []
+    refused = [(rejection.time, rejection.link_id) for rejection
+               in result.controller.scheduler.fence.rejections]
+    assert (273900.0, "link-00000") in refused

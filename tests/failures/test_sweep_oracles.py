@@ -13,11 +13,14 @@ in tree B.  After every tick the trees must agree bit for bit: fabric
 columns, Gilbert-Elliott phases, every link's impairment score, RNG
 states, detections, delivered events, and the monitor's mute table.
 The scripts reach fault states the pinned parity worlds do not:
-maintenance windows, detached cables, disturbances, scratched faces,
-and mute-TTL expiries.  They also run every :class:`RepairAction`
-through :meth:`RepairPhysics.perform` (cleaning faces, swapping units
-and cables from stock, clearing port faults), so the health kernel's
-cached score inputs must see every write a repair makes.
+maintenance windows, detached cables, disturbances, vibration
+episodes, scratched faces, and mute-TTL expiries.  They also run every
+:class:`RepairAction` through :meth:`RepairPhysics.perform` (cleaning
+faces, swapping units and cables from stock, clearing port faults), so
+the health kernel's cached score inputs must see every write a repair
+makes.  Between health-input writes the kernel tree's tick runs its
+live pass (the per-row step on the live rows alone); the oracle
+re-walks every link on every tick.
 """
 
 from __future__ import annotations
@@ -66,7 +69,7 @@ REPAIRS = {action.value: action for action in RepairAction}
 
 OPS = ("unseat", "seat", "hw_fault", "fw_stuck", "port_fault",
        "cable_damage", "scratch", "end_dirt", "recept_dirt", "oxidize",
-       "detach", "attach", "disturb", "begin_maintenance",
+       "detach", "attach", "disturb", "vibrate", "begin_maintenance",
        "release_maintenance", "evaluate", "inject", "touch",
        *REPAIRS)
 
@@ -173,6 +176,9 @@ def _apply(tree: Tree, step, now: float) -> None:
         cable.attach(side)
     elif op == "disturb":
         tree.health.disturb(link.id, now + magnitude * 1800.0)
+    elif op == "vibrate":
+        tree.health.environment.add_vibration(
+            now, magnitude, 60.0 + magnitude * 1800.0)
     elif op == "begin_maintenance":
         tree.health.begin_maintenance(link, now)
     elif op == "release_maintenance":
@@ -260,6 +266,25 @@ def _repaired(fault, repair, index=12):
 @example(seed=0, script=[*_repaired("hw_fault", "replace-transceiver", 0),
                          *_repaired("cable_damage", "replace-cable", 1)])
 @example(seed=0, script=_repaired("port_fault", "replace-switchgear"))
+# Dust and aging write health inputs after the tick they share, so the
+# kernel tree's full passes fall on ticks 0, 1, 4, 7, ... and ticks
+# 2-3, 5-6, ... are live passes: a dirty face flaps through them.
+@example(seed=0, script=[_step(0, "end_dirt", 12, magnitude=0.5)])
+# A disturbance marks a clean row live at tick 2 and expires before
+# tick 3, whose live pass must see it gone.
+@example(seed=0, script=[_step(2, "disturb", 5, magnitude=0.03)])
+# Oxidation alone puts a dirt-free DAC row in the marginal band
+# (0.5 - onset 0.15 >= 0.18): live, though its dirt term is zero.
+@example(seed=0, script=[_step(1, "oxidize", 0, magnitude=0.5)])
+# A vibration episode moves stress with no input write: the live pass
+# must score the dirty row under it.
+@example(seed=0, script=[_step(0, "end_dirt", 12, magnitude=0.5),
+                         _step(2, "vibrate", 12, magnitude=0.5)])
+# A live row taken into maintenance between full passes is skipped by
+# the live pass, as by the kernel, until it is released.
+@example(seed=0, script=[_step(1, "oxidize", 0, magnitude=0.5),
+                         _step(2, "begin_maintenance", 0),
+                         _step(5, "release_maintenance", 0)])
 # No shrink or explain phase: shrinking replays two trees per attempt
 # and can run for many minutes on a divergence, while the falsifying
 # example is printed without it.

@@ -11,11 +11,17 @@ here by counting, not by timing:
 * a health tick with no health-input write since the previous score
   reads none of the seven fault-flag columns (the cached inputs serve
   it);
+* after a full pass, a health tick with no input write and no
+  disturbance runs the vector kernel on no slice and reads only the
+  live rows, and a ``disturb()`` or an input write makes the next tick
+  a full pass again;
+* a scoring with no vibration episode rebuilds no episode list;
 * a poll whose flap window holds fewer events than
   ``flap_transitions`` never computes per-row flap counts;
 * the safety monitor's orphan audit never iterates ``fabric.links``,
-  and a check touches no history of an incident it has already
-  audited to its conclusion.
+  a check touches no history of an incident it has already audited
+  to its conclusion, and a check with no drain outstanding never
+  builds the in-flight order ids.
 
 ``sys.setprofile`` does not see numpy slicing, ``|``, ``~`` or
 comparisons, so the first of the new savings barely shows in counted
@@ -27,6 +33,7 @@ import pytest
 
 from dcrobot.chaos import SafetyMonitor
 from dcrobot.core import RepairAction
+from dcrobot.core.actions import WorkOrder
 from dcrobot.core.controller import Incident
 from dcrobot.failures import Environment, HealthModel
 from dcrobot.failures.dust import DustProcess
@@ -95,21 +102,22 @@ def test_bundle_neighbors_never_scan_the_links(fabric):
 
 
 class _ReadLogged(np.ndarray):
-    """A column view that logs its name on every indexing read."""
+    """A column view that logs ``(name, key)`` on every indexing read."""
 
     def __getitem__(self, key):
-        self.log.append(self.name)
+        self.log.append((self.name, key))
         item = np.ndarray.__getitem__(self, key)
         return item.view(np.ndarray) if isinstance(item, np.ndarray) \
             else item
 
 
-def _log_reads(state, names):
+def _log_reads(columns):
+    """Wrap each ``(owner, attribute)`` column in one read log."""
     log = []
-    for name in names:
-        view = getattr(state, name).view(_ReadLogged)
+    for owner, name in columns:
+        view = getattr(owner, name).view(_ReadLogged)
         view.log, view.name = log, name
-        setattr(state, name, view)
+        setattr(owner, name, view)
     return log
 
 
@@ -117,14 +125,93 @@ def test_a_health_tick_without_input_writes_reads_no_fault_flags(fabric):
     health = HealthModel(fabric, Environment(),
                          rng=np.random.default_rng(5))
     health.tick_all(0.0)
-    reads = _log_reads(fabric.state, FAULT_FLAGS)
+    reads = _log_reads((fabric.state, name) for name in FAULT_FLAGS)
     health.tick_all(300.0)
     health.evaluate_link(next(iter(fabric.links.values())), 400.0)
     assert reads == []
     # A write moves the key: the next score re-reads every flag.
     next(iter(fabric.links.values())).transceiver_a.hw_fault = True
     health.tick_all(600.0)
-    assert set(reads) == set(FAULT_FLAGS)
+    assert {name for name, _key in reads} == set(FAULT_FLAGS)
+
+
+def _live_fabric(fabric):
+    """Three live rows on a clean fabric: a dirty face, an oxidation
+    term in the marginal band, and a disturbance."""
+    links = list(fabric.links.values())
+    dirty = next(link for link in links if link.cable.cleanable)
+    dirty.cable.end_a.add_contamination(0.5)
+    oxidized, disturbed = links[0], links[1]
+    oxidized.transceiver_a.oxidation = 0.6
+    health = HealthModel(fabric, Environment(),
+                         rng=np.random.default_rng(5))
+    health.disturb(disturbed.id, 900.0)
+    rows = {fabric.state.index_of[link.id]
+            for link in (dirty, oxidized, disturbed)}
+    return health, rows
+
+
+@pytest.fixture
+def kernel_slices(monkeypatch):
+    """The row slices the health kernel runs on, in call order."""
+    slices = []
+    evaluate = HealthModel._evaluate
+
+    def logging(self, rows, now):
+        slices.append(rows)
+        return evaluate(self, rows, now)
+
+    monkeypatch.setattr(HealthModel, "_evaluate", logging)
+    return slices
+
+
+def test_a_quiet_health_tick_visits_only_the_live_rows(fabric,
+                                                       kernel_slices):
+    health, live = _live_fabric(fabric)
+    health.tick_all(0.0)
+    kernel_slices.clear()
+    state = fabric.state
+    reads = _log_reads(((state, "state_code"), (state, "loss_rate"),
+                        (health._bad, "values"),
+                        (health._disturbed, "values")))
+    for tick in range(1, 6):
+        health.tick_all(300.0 * tick)
+    assert kernel_slices == []
+    assert reads and {key for _name, key in reads} == live
+
+
+def test_a_disturbance_or_an_input_write_brings_a_full_pass(
+        fabric, kernel_slices):
+    health, _live = _live_fabric(fabric)
+    full = slice(0, fabric.state.n_links)
+    links = list(fabric.links.values())
+    passes = []
+    for tick, write in enumerate((
+            None, None,
+            lambda: health.disturb(links[5].id, 2000.0), None,
+            lambda: setattr(links[7].transceiver_b, "oxidation", 0.1),
+            None)):
+        if write is not None:
+            write()
+        kernel_slices.clear()
+        health.tick_all(300.0 * tick)
+        passes.append(kernel_slices == [full])
+    assert passes == [True, False, True, False, True, False]
+
+
+def test_a_scoring_without_vibration_rebuilds_no_episode_list(fabric):
+    health, _live = _live_fabric(fabric)
+    environment = health.environment
+    episodes = environment._vibrations
+    for tick in range(3):
+        health.tick_all(300.0 * tick)
+    health.impairment_score(next(iter(fabric.links.values())), 900.0)
+    assert environment._vibrations is episodes
+    # An episode is summed while it lasts, then pruned.
+    environment.add_vibration(900.0, 0.5, 600.0)
+    assert environment.vibration_level(1000.0) == 0.5
+    assert environment.vibration_level(1500.0) == 0.0
+    assert environment._vibrations == []
 
 
 def test_a_poll_with_a_quiet_flap_window_skips_the_row_counts(
@@ -204,3 +291,28 @@ def test_a_check_leaves_concluded_audited_histories_alone(world):
     safety.check(30.0)
     assert touched == []  # ...and the next check leaves them alone
     assert safety.violations == []
+
+
+def test_a_check_without_drains_builds_no_in_flight_set(world, monkeypatch):
+    controller, safety, _stub = build(world)
+    claim(controller, world.links[1])  # in flight, but drains nothing
+    built = []
+    inflight = controller.inflight_order_ids
+
+    def counting():
+        built.append(True)
+        return inflight()
+
+    monkeypatch.setattr(controller, "inflight_order_ids", counting)
+    safety.check(0.0)
+    safety.check(600.0)
+    assert built == []
+    # An outstanding drain: the set is built once per check.
+    order = WorkOrder(link_id=world.links[2].id,
+                      action=RepairAction.RESEAT, created_at=0.0)
+    controller.scheduler._drained_for_order[order.order_id] = \
+        [world.links[2].id]
+    safety.check(1200.0)
+    assert built == [True]
+    assert [violation.kind for violation in safety.violations] \
+        == [SafetyMonitor.DRAIN_ORPHAN]

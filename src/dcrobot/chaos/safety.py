@@ -22,11 +22,11 @@ work orders — claims older than ``stuck_after_seconds`` — which is the
 signature failure of the naive (no-timeout) controller under ack loss.
 
 Each check costs O(change), not O(fabric + every incident ever
-opened): maintenance orphans come from the ``MAINTENANCE_CODE`` rows
-of the columnar state, the escalation audit visits only open
-incidents plus those concluded since the previous check, and the
-drain-orphan audit builds the in-flight order ids only while the
-scheduler holds a drain.
+opened): the orphan audit keeps the ``MAINTENANCE_CODE`` rows from the
+columnar state's row-change feed and reads nothing while none is under
+maintenance, the escalation audit visits only open incidents plus
+those concluded since the previous check, and the drain-orphan audit
+builds the in-flight order ids only while the scheduler holds a drain.
 """
 
 from __future__ import annotations
@@ -64,10 +64,12 @@ class SafetyReport:
 class SafetyMonitor:
     """Audits control-plane invariants as the simulation runs.
 
-    A check costs O(change): the orphan audit reads the maintenance
-    rows of the columnar state, and the escalation audit visits the
-    open incidents plus those concluded since the previous check, each
-    from its audited-history cursor.
+    A check costs O(change): the orphan audit re-tests only the rows
+    the state's row-change feed reports (a rescan rebuilds its set of
+    maintenance rows in one vector pass) and returns at once while that
+    set is empty, and the escalation audit visits the open incidents
+    plus those concluded since the previous check, each from its
+    audited-history cursor.
     """
 
     MAINTENANCE_ORPHAN = "maintenance-orphan"
@@ -105,6 +107,9 @@ class SafetyMonitor:
         self._unresolved_seen = 0
         self._last_check: Optional[float] = None
         self._attached = False
+        #: The state's row-change cursor and the rows in MAINTENANCE.
+        self._cursor = None
+        self._maintenance: Set[int] = set()
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -185,11 +190,23 @@ class SafetyMonitor:
     def _check_maintenance_orphans(self):
         found = []
         state = self.fabric.state
-        rows = state.rows_in_insertion_order(
-            (state.state_code[:state.n_links]
-             == MAINTENANCE_CODE).nonzero()[0])
+        rows, self._cursor = state.row_changes(self._cursor)
+        if rows is None:
+            self._maintenance = set(
+                (state.state_code[:state.n_links]
+                 == MAINTENANCE_CODE).nonzero()[0].tolist())
+        elif rows:
+            maintenance = self._maintenance
+            codes = state.state_code
+            for row in rows:
+                if codes[row] == MAINTENANCE_CODE:
+                    maintenance.add(row)
+                else:
+                    maintenance.discard(row)
+        if not self._maintenance:
+            return found
         claimed = self.controller.active_orders
-        for row in rows:
+        for row in state.rows_in_insertion_order(sorted(self._maintenance)):
             link_id = state.links_by_row[row].id
             if link_id in claimed or self._touched_by_executor(link_id):
                 continue

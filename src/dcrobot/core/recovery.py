@@ -465,7 +465,7 @@ class ControllerSupervisor:
                          for claim, _, _ in adopted)
         accounted.update(incident.link_id for incident
                          in successor.unresolved_incidents)
-        for link_id in list(monitor._muted):
+        for link_id in monitor.muted_links():
             if link_id not in accounted:
                 monitor.unmute(link_id)
 

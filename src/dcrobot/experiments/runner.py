@@ -668,7 +668,7 @@ def _orphaned_muted_links(result: RunResult, controller) -> int:
     known.update(controller.active_orders)
     known.update(incident.link_id
                  for incident in controller.unresolved_incidents)
-    return len(set(result.monitor._muted) - known)
+    return len(set(result.monitor.muted_links()) - known)
 
 
 def summarize_world(result: RunResult) -> WorldSummary:

@@ -98,6 +98,11 @@ class HealthModel:
     it, and :meth:`release_from_maintenance` evaluates its row.  In a
     chaos hall 3 of 32 rows are live per tick on average, and 6% of
     ticks find none.
+
+    Each loss write is told to the fabric state's row-change feed
+    (code writes go through ``set_state``, which tells it too): the
+    kernel on one row and the live pass note each row they write, and
+    a full pass asks every consumer to rescan.
     """
 
     def __init__(self, fabric: Fabric, environment: Environment,
@@ -308,6 +313,11 @@ class HealthModel:
         links_by_row = state.links_by_row
         for row in changed:
             links_by_row[row].set_state(now, STATE_OF[new_code[row - start]])
+        # The loss column was written in place: tell the row-change feed.
+        if rows.stop - start == 1:
+            state.note_row(start)
+        else:
+            state.note_all_rows()
 
     def _step(self, score: float, bad: bool, draws, stress: float):
         """One active row's next ``(state code, loss rate, bad phase)``.
@@ -382,8 +392,10 @@ class HealthModel:
         bad = self._bad.values
         loss = state.loss_rate
         links_by_row = state.links_by_row
+        note_row = state.note_row
         for row, score in scored:
             code, loss[row], bad[row] = self._step(score, bad[row], draws,
                                                    stress)
+            note_row(row)
             if code != codes[row]:
                 links_by_row[row].set_state(now, STATE_OF[code])

@@ -80,6 +80,7 @@ class Link:
             self._loss_rate = value
         else:
             fs.loss_rate[self._row] = value
+            fs.note_row(self._row)
 
     def __repr__(self) -> str:
         return (f"<Link {self.id} {self.port_a.parent_id}<->"

@@ -33,8 +33,17 @@ Design rules:
   stream-identical to the per-link loops.
 * **Event-sourced flap log.**  ``set_state`` appends flap-qualifying
   transitions (same rule as ``Link.transition_count``) to a global
-  time-sorted ``(time, lid)`` log; windowed flap counts for the whole
-  fleet are then two ``searchsorted`` calls and a ``bincount``.
+  time-sorted ``(time, lid)`` log.  A :class:`FlapWindow` slides along
+  it and keeps per-lid counts over an open window, so a poll visits
+  each event twice (when it enters, when it leaves), however long the
+  event stays in the window.
+* **A row-change feed.**  Every writer of a bound row's state code,
+  down-since time or loss rate records the row (``on_transition``,
+  the ``Link.loss_rate`` setter, the health kernel); a consumer asks
+  :meth:`FabricState.row_changes` for the rows written since its last
+  call, or is told to rescan.  The telemetry poll and the safety
+  monitor's orphan audit keep their row sets from it instead of
+  re-deriving them from whole columns on every call.
 * **Copy-on-write forks.**  :meth:`FabricState.fork` snapshots the
   whole store in O(1): every column is *shared* between the states
   until one of them writes it, at which point the writer keeps the
@@ -47,7 +56,7 @@ Design rules:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -239,6 +248,11 @@ class FabricState:
         self._flap_times = np.zeros(_FLAP_LOG_CAPACITY)
         self._flap_lids = np.zeros(_FLAP_LOG_CAPACITY, dtype=np.int64)
         self._flap_len = 0
+        #: Out-of-order inserts into the flap log: each one shifts the
+        #: positions a :class:`FlapWindow` holds.
+        self._flap_inserts = 0
+        #: The row-change log behind :meth:`row_changes`.
+        self._row_log: List[int] = []
         #: Structural-event subscribers (zero cost while empty); see
         #: :meth:`subscribe_structure`.
         self._listeners: List[Callable] = []
@@ -284,10 +298,12 @@ class FabricState:
         and sees identical column contents; the first write to any
         shared column — from either side — splits just that column
         (writer keeps the buffer).  Containers are shared too and
-        copied on the first *structural* op.  The fork is a plain data
-        twin: the bound view objects in ``links_by_row`` still point at
-        the parent, so mutate a fork column-wise, never through object
-        setters.
+        copied on the first *structural* op.  The row-change log is
+        not shared: a consumer of either side never sees the other's
+        writes, and the fork's first :meth:`row_changes` is a rescan.
+        The fork is a plain data twin: the bound view objects in
+        ``links_by_row`` still point at the parent, so mutate a fork
+        column-wise, never through object setters.
         """
         child = FabricState.__new__(FabricState)
         child._capacity = self._capacity
@@ -299,6 +315,8 @@ class FabricState:
         child._lid_ordered = self._lid_ordered
         child.last_transition_time = self.last_transition_time
         child._flap_len = self._flap_len
+        child._flap_inserts = self._flap_inserts
+        child._row_log = []
         child.links_by_row = self.links_by_row
         child.index_of = self.index_of
         child._row_of_lid = self._row_of_lid
@@ -614,6 +632,46 @@ class FabricState:
             self.last_transition_time = now
         if flapped:
             self._log_flap(now, int(self.lid_of_row[row]))
+        self.note_row(row)
+
+    # -- the row-change feed --------------------------------------------------
+
+    def note_row(self, row: int) -> None:
+        """Record a write of ``row``'s state code, down-since time or
+        loss rate (see :meth:`row_changes`)."""
+        log = self._row_log
+        log.append(row)
+        if len(log) > self.n_links:
+            self._row_log = []
+
+    def note_all_rows(self) -> None:
+        """Record a write of every row: each consumer's next
+        :meth:`row_changes` is a rescan."""
+        self._row_log = []
+
+    def row_changes(self, cursor: Optional[tuple]
+                    ) -> Tuple[Optional[List[int]], tuple]:
+        """The rows written since ``cursor``, and the cursor to pass next.
+
+        The rows (with repeats, in write order) are every row whose
+        state code, down-since time or loss rate was written since the
+        call that returned ``cursor``: by :meth:`on_transition` (every
+        bound ``Link.set_state``), the ``Link.loss_rate`` setter, and
+        the health kernel on one row or on the live rows.  ``None``
+        instead asks the consumer to rescan every row: on its first
+        call (``cursor=None``), after a structural change, after
+        :meth:`note_all_rows` (the health kernel's full pass), and once
+        the log has outgrown ``n_links`` entries.  A rescan costs one
+        vector pass, so that bound keeps the log no longer than the
+        rescan it stands in for.  The cursor is opaque.
+        """
+        log = self._row_log
+        if cursor is not None and cursor[0] is log \
+                and cursor[1] == self.generation:
+            rows = log[cursor[2]:]
+        else:
+            rows = None
+        return rows, (log, self.generation, len(log))
 
     # -- flap-event log -------------------------------------------------------
 
@@ -627,52 +685,25 @@ class FabricState:
         if m and when < self._flap_times[m - 1]:
             # Out-of-order timestamps only happen when tests drive
             # set_state with hand-written clocks; insert-sorted keeps
-            # the searchsorted window queries valid regardless.
+            # the log a valid window source regardless, and the count
+            # tells each FlapWindow that its positions shifted.
             pos = int(np.searchsorted(self._flap_times[:m], when,
                                       side="right"))
             self._flap_times[pos + 1:m + 1] = self._flap_times[pos:m].copy()
             self._flap_lids[pos + 1:m + 1] = self._flap_lids[pos:m].copy()
             self._flap_times[pos] = when
             self._flap_lids[pos] = lid
+            self._flap_inserts += 1
         else:
             self._flap_times[m] = when
             self._flap_lids[m] = lid
         self._flap_len = m + 1
 
-    def _flap_window(self, start: float, end: float):
-        """Log positions ``[lo, hi)`` of the events in ``start < t < end``.
-
-        Every poll asks, so this calls the ndarray method rather than
-        ``np.searchsorted``, which adds three Python-level calls.
-        """
-        times = self._flap_times[:self._flap_len]
-        return (int(times.searchsorted(start, side="right")),
-                int(times.searchsorted(end, side="left")))
-
-    def flap_events(self, start: float, end: float) -> int:
-        """Fleet-wide flap transitions in the open window
-        ``start < t < end``: an upper bound on every row's
-        :meth:`flap_counts` entry, at the cost of two bisections."""
-        lo, hi = self._flap_window(start, end)
-        return hi - lo
-
-    def flap_counts(self, start: float, end: float) -> np.ndarray:
-        """Per-row flap-transition counts over the open window
-        ``start < t < end`` — the same strict bounds as
-        :meth:`dcrobot.network.link.Link.transitions_in_window`."""
-        n = self.n_links
-        lo, hi = self._flap_window(start, end)
-        if hi <= lo or n == 0:
-            return np.zeros(n, dtype=np.int64)
-        by_lid = np.bincount(self._flap_lids[lo:hi],
-                             minlength=self.next_lid)
-        return by_lid[self.lid_of_row[:n]]
-
     # -- ordering helpers ------------------------------------------------------
 
-    def rows_in_insertion_order(self, rows: np.ndarray) -> np.ndarray:
-        """Sort an ascending row subset (``np.nonzero`` output) into
-        ``fabric.links`` dict order (by lid).
+    def rows_in_insertion_order(self, rows):
+        """Sort an ascending row subset (``np.nonzero`` output or a
+        sorted list) into ``fabric.links`` dict order (by lid).
 
         Batched RNG consumption must happen in this order to stay
         stream-identical with the legacy per-link loops.  Until a
@@ -681,4 +712,118 @@ class FabricState:
         """
         if self._lid_ordered or len(rows) < 2:
             return rows
+        rows = np.asarray(rows)
         return rows[self.lid_of_row[rows].argsort(kind="stable")]
+
+
+class FlapWindow:
+    """Per-lid flap counts over the open window ``(now - width, now)``,
+    slid along one state's flap log.
+
+    The same strict bounds as
+    :meth:`dcrobot.network.link.Link.transitions_in_window`: at
+    :meth:`advance` an event enters once ``t < now`` and leaves once
+    ``t <= now - width``, so an event at ``t == now`` enters at the
+    next call.  Each event is visited twice however many calls it
+    spans, and its time is read at most twice: the window caches the
+    time of the next event to enter and of the next to leave.  Log
+    growth and copy-on-write splits keep event positions; an
+    out-of-order insert (counted by ``_log_flap``) or a clock that went
+    backwards rebuilds the counts from a bisection of the log.
+    """
+
+    __slots__ = ("state", "width", "threshold", "counts", "busy",
+                 "_now", "_inserts", "_lo", "_hi", "_enter_at",
+                 "_leave_at")
+
+    def __init__(self, state: FabricState, width: float,
+                 threshold: int) -> None:
+        self.state = state
+        self.width = width
+        self.threshold = threshold
+        #: lid -> events in the window (absent at zero).
+        self.counts: Dict[int, int] = {}
+        #: The lids with at least ``threshold`` events in the window.
+        self.busy: Set[int] = set()
+        self._now: Optional[float] = None
+        self._inserts = 0
+        #: Log positions ``[lo, hi)`` of the events in the window.
+        self._lo = self._hi = 0
+        #: The times at ``hi`` and ``lo``, once read (None: unread).
+        self._enter_at = self._leave_at = None
+
+    def advance(self, now: float) -> List[int]:
+        """Slide the window to end at ``now``; returns the rows of
+        the bound links with at least ``threshold`` events in it."""
+        state = self.state
+        if self._now is None or now < self._now \
+                or self._inserts != state._flap_inserts:
+            self._rebuild(now)
+        else:
+            self._slide(now)
+        self._now = now
+        if not self.busy:
+            return []
+        row_of_lid = state._row_of_lid
+        return [row for row in map(row_of_lid.__getitem__, self.busy)
+                if row >= 0]
+
+    def _slide(self, now: float) -> None:
+        state = self.state
+        times, lids = state._flap_times, state._flap_lids
+        counts, busy, threshold = self.counts, self.busy, self.threshold
+        end = state._flap_len
+        hi = self._hi
+        if hi < end:
+            at = self._enter_at
+            if at is None:
+                at = times[hi]
+            while at < now:
+                lid = int(lids[hi])
+                count = counts.get(lid, 0) + 1
+                counts[lid] = count
+                if count == threshold:
+                    busy.add(lid)
+                hi += 1
+                if hi == end:
+                    at = None
+                    break
+                at = times[hi]
+            self._hi, self._enter_at = hi, at
+        lo = self._lo
+        if lo < hi:
+            at = self._leave_at
+            if at is None:
+                at = times[lo]
+            start = now - self.width
+            while at <= start:
+                lid = int(lids[lo])
+                count = counts[lid] - 1
+                if count:
+                    counts[lid] = count
+                else:
+                    del counts[lid]
+                if count == threshold - 1:
+                    busy.discard(lid)
+                lo += 1
+                if lo == hi:
+                    at = None
+                    break
+                at = times[lo]
+            self._lo, self._leave_at = lo, at
+
+    def _rebuild(self, now: float) -> None:
+        state = self.state
+        times = state._flap_times[:state._flap_len]
+        hi = int(times.searchsorted(now, side="left"))
+        lo = min(hi, int(times.searchsorted(now - self.width,
+                                            side="right")))
+        counts: Dict[int, int] = {}
+        for lid in state._flap_lids[lo:hi].tolist():
+            counts[lid] = counts.get(lid, 0) + 1
+        self.counts = counts
+        self.busy = {lid for lid, count in counts.items()
+                     if count >= self.threshold}
+        self._lo, self._hi = lo, hi
+        self._enter_at = self._leave_at = None
+        self._inserts = state._flap_inserts

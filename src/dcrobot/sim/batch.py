@@ -19,23 +19,29 @@ each separate process schedules its next timeout after its tick.
 
 from __future__ import annotations
 
-import dataclasses
+from operator import attrgetter
 from typing import Callable, List, Optional
 
 from dcrobot.sim.engine import Simulation
 
+_NEXT_AT = attrgetter("next_at")
+_DUE_ORDER = attrgetter("last_fired", "index")
 
-@dataclasses.dataclass
+
 class _Entry:
     """One registered periodic callback."""
 
-    callback: Callable[[float], None]
-    period: float
-    next_at: float
-    #: Time this entry last fired (registration time before the first
-    #: fire) — the primary key of the due-order sort.
-    last_fired: float
-    index: int
+    __slots__ = ("callback", "period", "next_at", "last_fired", "index")
+
+    def __init__(self, callback: Callable[[float], None], period: float,
+                 next_at: float, last_fired: float, index: int) -> None:
+        self.callback = callback
+        self.period = period
+        self.next_at = next_at
+        #: Time this entry last fired (registration time before the
+        #: first fire) — the primary key of the due-order sort.
+        self.last_fired = last_fired
+        self.index = index
 
 
 class BatchTicker:
@@ -70,16 +76,17 @@ class BatchTicker:
         """Generator process: wake at each due boundary, fire, repeat."""
         if sim is not self.sim:
             raise ValueError("ticker bound to a different simulation")
-        while self._entries:
-            next_time = min(entry.next_at for entry in self._entries)
+        entries = self._entries
+        while entries:
+            # attrgetter keys: no Python-level call per entry.
+            next_time = min(map(_NEXT_AT, entries))
             if next_time > sim.now:
                 yield sim.timeout(next_time - sim.now)
             now = sim.now
             # <= rather than == so a non-integer period whose boundary
             # lands an ulp early can never strand its entry in the past.
-            due = [entry for entry in self._entries
-                   if entry.next_at <= now]
-            due.sort(key=lambda entry: (entry.last_fired, entry.index))
+            due = [entry for entry in entries if entry.next_at <= now]
+            due.sort(key=_DUE_ORDER)
             for entry in due:
                 entry.next_at = now + entry.period
                 entry.last_fired = now

@@ -14,15 +14,29 @@ Two hardening hooks sit between detection and delivery:
 * **Mute TTL** — with ``mute_ttl_seconds`` set, a muted link re-arms by
   itself after the TTL.  A report whose delivery was lost (or whose
   handler died) is then merely late, not lost forever.
+
+The poll pays per changed row, not per link: it keeps the rows its
+down and loss predicates hold for from the fabric state's row-change
+feed, counts flaps with a sliding window over the flap log, and walks
+the mute table only once the earliest TTL can have come due (see
+:meth:`TelemetryMonitor.poll_all`).
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Dict, Iterable, List, Optional
+
+import numpy as np
 
 from dcrobot.network.inventory import Fabric
 from dcrobot.network.link import Link
-from dcrobot.network.state import DOWN_CODE, FLAPPING_CODE, MAINTENANCE_CODE
+from dcrobot.network.state import (
+    DOWN_CODE,
+    FLAPPING_CODE,
+    MAINTENANCE_CODE,
+    FlapWindow,
+)
 from dcrobot.obs import NULL_OBS
 from dcrobot.telemetry.detectors import DetectorParams, LinkDetector
 from dcrobot.telemetry.events import TelemetryEvent
@@ -33,7 +47,7 @@ Interceptor = Callable[[TelemetryEvent], List[TelemetryEvent]]
 
 
 class TelemetryMonitor:
-    """Scans every link each poll interval and dispatches new symptoms."""
+    """Polls the fleet each interval and dispatches new symptoms."""
 
     def __init__(self, fabric: Fabric,
                  params: Optional[DetectorParams] = None,
@@ -52,8 +66,23 @@ class TelemetryMonitor:
         self.interceptors: List[Interceptor] = []
         self.events: List[TelemetryEvent] = []
         self.obs = obs if obs is not None else NULL_OBS
-        #: link id -> time the mute was set (for TTL expiry).
+        #: link id -> time the mute was set (for TTL expiry).  Written
+        #: only by :meth:`mute` and :meth:`unmute`; read it through
+        #: :meth:`muted_links`.
         self._muted: Dict[str, float] = {}
+        #: A lower bound on the times in ``_muted``, so no mute expires
+        #: before ``now - _mute_floor >= mute_ttl_seconds``: the poll
+        #: walks the table only from then on.  :meth:`mute` lowers it,
+        #: and a walk resets it to the earliest time left.
+        self._mute_floor = math.inf
+        #: The state's row-change cursor, and the *watch set*: each row
+        #: that is DOWN (mapped to its down-since time) or carrying with
+        #: loss above the threshold (mapped to -inf), per the feed.
+        self._cursor = None
+        self._watch: Dict[int, float] = {}
+        params = self.detector.params
+        self._flaps = FlapWindow(fabric.state, params.flap_window_seconds,
+                                 params.flap_transitions)
         #: heartbeat source id -> last beat time.  Robot units (and any
         #: other liveness-reporting component) check in here; the fleet
         #: watchdog asks for stale sources, so a dead or wedged unit is
@@ -78,10 +107,16 @@ class TelemetryMonitor:
     def mute(self, link_id: str, now: float = 0.0) -> None:
         """Stop reporting a link (a repair is in flight)."""
         self._muted[link_id] = now
+        if now < self._mute_floor:
+            self._mute_floor = now
 
     def unmute(self, link_id: str) -> None:
         """Re-arm detection for a link (repair attempt finished)."""
         self._muted.pop(link_id, None)
+
+    def muted_links(self) -> List[str]:
+        """The ids of every muted link, in the order they were muted."""
+        return list(self._muted)
 
     def is_muted(self, link_id: str, now: Optional[float] = None) -> bool:
         muted_at = self._muted.get(link_id)
@@ -127,57 +162,98 @@ class TelemetryMonitor:
         return pending
 
     def poll_all(self, now: float) -> List[TelemetryEvent]:
-        """One full-fleet pass using the columnar state as a prefilter;
-        returns (and dispatches) the new events.
+        """One fleet poll over the rows that can report; returns (and
+        dispatches) the new events.
 
         Bit-identical to ``monitor_poll`` in ``tests/oracles/sweeps.py``,
-        which runs :meth:`_scan` over every link: the arrays select a
+        which runs :meth:`_scan` over every link: this poll selects a
         *superset* of the links that pass would touch.  :meth:`_scan`
         does anything only for a link that ``check`` reports or whose
         ``_lossy_since`` entry it sets or clears, or a muted link whose
         TTL expires; ``check`` returns ``None`` for a MAINTENANCE link.
         So it suffices to select:
 
-        * rows down past the grace period (``DOWN_CODE`` only);
+        * watched DOWN rows past the grace period;
+        * watched carrying rows with loss above the threshold;
         * non-MAINTENANCE rows with at least ``flap_transitions`` flap
-          events in the window.  When the whole log holds fewer events
-          in the window (two bisections), no row can, and the per-row
-          counts are skipped;
-        * carrying rows with elevated loss (``code <= FLAPPING_CODE``);
+          events in the window, from the sliding :class:`FlapWindow`;
         * ids with pending ``_lossy_since`` bookkeeping;
-        * muted ids whose TTL expires this poll.
+        * muted ids whose TTL expires this poll, walked for only once
+          the earliest mute can have expired.
 
-        Every other link is provably a no-op in :meth:`_scan`.  Selected
-        links then run :meth:`_scan` in ``fabric.links`` order, so
-        events, mutes, observability, and deliveries are unchanged.
+        The watch set holds every row that is DOWN or carrying with
+        loss above the threshold.  It stays exact because the state's
+        row-change feed reports every row whose code, down-since time
+        or loss was written since the last poll; those rows alone are
+        re-tested, and a rescan (a structural change, a full health
+        pass, an overgrown log) rebuilds the set in one vector pass.
+        Every other link is provably a no-op in :meth:`_scan`.
+        Selected links then run :meth:`_scan` in ``fabric.links``
+        order, so events, mutes, observability, and deliveries are
+        unchanged.
         """
         state = self.fabric.state
-        n = state.n_links
         params = self.detector.params
-        code = state.state_code[:n]
-        candidate = (((code == DOWN_CODE)
-                      & (now - state.down_since[:n]
-                         >= params.down_grace_seconds))
-                     | ((code <= FLAPPING_CODE)
-                        & (state.loss_rate[:n] > params.loss_threshold)))
-        window_start = now - params.flap_window_seconds
-        if state.flap_events(window_start, now) >= params.flap_transitions:
-            candidate |= ((code != MAINTENANCE_CODE)
-                          & (state.flap_counts(window_start, now)
-                             >= params.flap_transitions))
+        rows, self._cursor = state.row_changes(self._cursor)
+        if rows is None:
+            self._rewatch(state, params.loss_threshold)
+        elif rows:
+            self._retest(state, rows, params.loss_threshold)
+        grace = params.down_grace_seconds
+        selected = [row for row, since in self._watch.items()
+                    if now - since >= grace]
+        flapping = self._flaps.advance(now)
+        if flapping:
+            codes = state.state_code
+            selected.extend(row for row in flapping
+                            if codes[row] != MAINTENANCE_CODE)
+        index_of = state.index_of
         for link_id in self.detector._lossy_since:
-            row = state.index_of.get(link_id)
+            row = index_of.get(link_id)
             if row is not None:
-                candidate[row] = True
-        if self.mute_ttl_seconds is not None:
+                selected.append(row)
+        ttl = self.mute_ttl_seconds
+        walk = ttl is not None and now - self._mute_floor >= ttl
+        if walk:
             for link_id, muted_at in self._muted.items():
-                if now - muted_at >= self.mute_ttl_seconds:
-                    row = state.index_of.get(link_id)
+                if now - muted_at >= ttl:
+                    row = index_of.get(link_id)
                     if row is not None:
-                        candidate[row] = True
-        rows = state.rows_in_insertion_order(candidate.nonzero()[0])
-        links_by_row = state.links_by_row
-        return self._scan([links_by_row[row] for row in rows], now)
+                        selected.append(row)
+        if not selected:
+            events = []
+        else:
+            links_by_row = state.links_by_row
+            events = self._scan(
+                [links_by_row[row] for row in
+                 state.rows_in_insertion_order(sorted(set(selected)))],
+                now)
+        if walk:
+            self._mute_floor = min(self._muted.values(), default=math.inf)
+        return events
+
+    def _rewatch(self, state, threshold: float) -> None:
+        """Rebuild the watch set from the columns (one vector pass)."""
+        n = state.n_links
+        code = state.state_code[:n]
+        down = code == DOWN_CODE
+        rows = (down | ((code <= FLAPPING_CODE)
+                        & (state.loss_rate[:n] > threshold))).nonzero()[0]
+        since = np.where(down[rows], state.down_since[:n][rows], -np.inf)
+        self._watch = dict(zip(rows.tolist(), since.tolist()))
+
+    def _retest(self, state, rows: List[int], threshold: float) -> None:
+        """Re-test the rows the feed reported against the predicates."""
+        watch = self._watch
+        codes = state.state_code
+        for row in set(rows):
+            code = codes[row]
+            if code == DOWN_CODE:
+                watch[row] = float(state.down_since[row])
+            elif code <= FLAPPING_CODE and state.loss_rate[row] > threshold:
+                watch[row] = -math.inf
+            else:
+                watch.pop(row, None)
 
     def _scan(self, links: Iterable[Link],
               now: float) -> List[TelemetryEvent]:

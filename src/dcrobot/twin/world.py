@@ -169,7 +169,9 @@ class TwinWorld:
             self.traffic.undrain(link_id)
 
     def set_loss_rate(self, link_id: str, loss: float) -> None:
-        self.state.loss_rate[self._row(link_id)] = float(loss)
+        row = self._row(link_id)
+        self.state.loss_rate[row] = float(loss)
+        self.state.note_row(row)
 
     def begin_maintenance(self, link_id: str,
                           now: Optional[float] = None) -> None:
@@ -183,6 +185,7 @@ class TwinWorld:
         row = self._row(link_id)
         fs = self.state
         fs.loss_rate[row] = 0.0
+        fs.note_row(row)
         fs.cable_damaged[row] = False
         fs.ox[:, row] = 0.0
         fs.seated[:, row] = True

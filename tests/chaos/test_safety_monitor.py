@@ -108,6 +108,22 @@ def test_maintenance_orphan_detected(world):
     assert safety.violations[0].target == link.id
 
 
+def test_a_released_orphan_taken_again_is_a_new_onset(world):
+    """The audit keeps its maintenance rows from the row-change feed:
+    a release must drop the row, so the next orphaning is an onset."""
+    _controller, safety, _stub = build(world)
+    link = world.links[0]
+    for when in (0.0, 200.0):
+        world.health.begin_maintenance(link, when)
+        safety.check(when + 10.0)
+        world.health.release_from_maintenance(link, when + 50.0)
+        safety.check(when + 60.0)
+    assert [(violation.kind, violation.target, violation.time)
+            for violation in safety.violations] \
+        == [(SafetyMonitor.MAINTENANCE_ORPHAN, link.id, 10.0),
+            (SafetyMonitor.MAINTENANCE_ORPHAN, link.id, 210.0)]
+
+
 def test_maintenance_with_a_claim_or_a_touching_executor_is_fine(world):
     controller, safety, stub = build(world)
     link_claimed, link_touched = world.links[0], world.links[1]

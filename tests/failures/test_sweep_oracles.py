@@ -21,6 +21,16 @@ the health kernel's cached score inputs must see every write a repair
 makes.  Between health-input writes the kernel tree's tick runs its
 live pass (the per-row step on the live rows alone); the oracle
 re-walks every link on every tick.
+
+The kernel tree's poll keeps its watch set from the fabric state's
+row-change feed, so a second property run writes the poll's inputs
+from outside the health model too: a chaos-style DOWN/UP flip, a direct
+``Link.loss_rate`` write, and a disconnect that swaps the last row into
+a freed one.  It polls without the health, dust and aging sweeps: the
+oracle's health walk re-derives an outside write at the next tick,
+while the kernel's live pass leaves a settled row alone (no program
+path writes a bound row's code or loss from outside the health model),
+so the full run draws only the disconnect.
 """
 
 from __future__ import annotations
@@ -47,7 +57,8 @@ from dcrobot.failures import (
 from dcrobot.failures.aging import OxidationAging
 from dcrobot.failures.dust import DustProcess
 from dcrobot.network import DegradationKind, FormFactor
-from dcrobot.telemetry import TelemetryMonitor
+from dcrobot.network.enums import LinkState
+from dcrobot.telemetry import Symptom, TelemetryMonitor
 from dcrobot.topology import build_fattree
 
 from tests.oracles import sweeps
@@ -58,7 +69,8 @@ TICK_SECONDS = 60.0
 #: apart, so the ticks after each one see its writes on their own.
 SLOW_EVERY = 6
 MUTE_TTL_SECONDS = 1200.0
-#: Edge-aggregation plus aggregation-core links of a k=4 fat tree.
+#: Edge-aggregation plus aggregation-core links of a k=4 fat tree;
+#: a step's link index wraps modulo the links still wired.
 LINKS = 32
 
 COLUMNS = ("state_code", "loss_rate", "ox", "cable_end_worst",
@@ -71,7 +83,9 @@ OPS = ("unseat", "seat", "hw_fault", "fw_stuck", "port_fault",
        "cable_damage", "scratch", "end_dirt", "recept_dirt", "oxidize",
        "detach", "attach", "disturb", "vibrate", "begin_maintenance",
        "release_maintenance", "evaluate", "inject", "touch",
-       *REPAIRS)
+       "disconnect", *REPAIRS)
+#: Writes of a bound row's code or loss from outside the health model.
+OUTSIDE_OPS = ("flip", "set_loss")
 
 #: Contact profiles for ``touch``: the two shipped ones, plus one that
 #: contacts, disturbs and damages often enough to matter in 42 ticks.
@@ -82,14 +96,18 @@ PROFILES = (HUMAN_HANDS, ROBOT_GRIPPER,
                            disturbance_duration=900.0,
                            vibration_magnitude=0.5))
 
-#: One mutation: (tick, op, link index, side, magnitude in [0, 1],
-#: fault kind for ``inject``, contact profile for ``touch``).
-STEPS = st.lists(
-    st.tuples(st.integers(0, TICKS - 1), st.sampled_from(OPS),
-              st.integers(0, LINKS - 1), st.sampled_from("ab"),
-              st.floats(0.0, 1.0, allow_nan=False),
-              st.sampled_from(DegradationKind), st.sampled_from(PROFILES)),
-    max_size=24)
+
+
+def _steps(ops):
+    """Scripts of mutations: (tick, op, link index, side, magnitude in
+    [0, 1], fault kind for ``inject``, contact profile for ``touch``)."""
+    return st.lists(
+        st.tuples(st.integers(0, TICKS - 1), st.sampled_from(ops),
+                  st.integers(0, LINKS - 1), st.sampled_from("ab"),
+                  st.floats(0.0, 1.0, allow_nan=False),
+                  st.sampled_from(DegradationKind),
+                  st.sampled_from(PROFILES)),
+        max_size=24)
 
 
 @dataclasses.dataclass
@@ -145,7 +163,8 @@ def _oracle_tree(seed: int) -> Tree:
 
 def _apply(tree: Tree, step, now: float) -> None:
     _tick, op, index, side, magnitude, kind, profile = step
-    link = list(tree.fabric.links.values())[index]
+    links = list(tree.fabric.links.values())
+    link = links[index % len(links)]
     unit = link.transceiver_a if side == "a" else link.transceiver_b
     port = link.port_a if side == "a" else link.port_b
     cable = link.cable
@@ -189,6 +208,13 @@ def _apply(tree: Tree, step, now: float) -> None:
         tree.injector.inject(kind, link, now)
     elif op == "touch":
         tree.cascade.touch(link, profile, now)
+    elif op == "flip" and link.state is not LinkState.MAINTENANCE:
+        link.set_state(now, LinkState.UP if link.state is LinkState.DOWN
+                       else LinkState.DOWN)
+    elif op == "set_loss" and link.state.carries_traffic:
+        link.loss_rate = magnitude * 1e-2
+    elif op == "disconnect":
+        tree.fabric.disconnect(link.id)
     elif op in REPAIRS:
         tree.physics.perform(REPAIRS[op], link, now, TECHNICIAN_SKILL)
 
@@ -244,7 +270,34 @@ def _repaired(fault, repair, index=12):
     return [_step(0, fault, index, magnitude=0.9), _step(1, repair, index)]
 
 
-@given(seed=st.integers(0, 2**16), script=STEPS)
+def _run(seed, script, ticks=TICKS, kernels=True) -> Tree:
+    """Drive both trees through ``script``, comparing after each tick;
+    ``kernels=False`` polls without the health, dust and aging sweeps,
+    so writes from outside the health model last.  Returns the kernel
+    tree."""
+    kernel, oracle = _tree(seed), _oracle_tree(seed)
+    for tick in range(ticks):
+        now = tick * TICK_SECONDS
+        for step in script:
+            if step[0] == tick:
+                _apply(kernel, step, now)
+                _apply(oracle, step, now)
+        if kernels:
+            kernel.health.tick_all(now)
+            sweeps.health_tick(oracle.health, now)
+        kernel.monitor.poll_all(now)
+        sweeps.monitor_poll(oracle.monitor, now)
+        if kernels and tick % SLOW_EVERY == 0:
+            kernel.dust.step_all(now)
+            sweeps.dust_tick(oracle.dust, now)
+        if kernels and tick % SLOW_EVERY == SLOW_EVERY // 2:
+            kernel.aging.step_all(now)
+            sweeps.aging_tick(oracle.aging, now)
+        _assert_same(kernel, oracle, tick, now)
+    return kernel
+
+
+@given(seed=st.integers(0, 2**16), script=_steps(OPS))
 # A muted link that recovers before its TTL expires is touched by no
 # prefilter row but the TTL one: unseat, wait for the detection at
 # t=900, then seat; the mute expires at t=2100 with the link UP.
@@ -285,30 +338,57 @@ def _repaired(fault, repair, index=12):
 @example(seed=0, script=[_step(1, "oxidize", 0, magnitude=0.5),
                          _step(2, "begin_maintenance", 0),
                          _step(5, "release_maintenance", 0)])
+# A hard-down row is swapped into a freed slot while watched.
+@example(seed=0, script=[_step(1, "unseat", 31), _step(3, "disconnect", 2)])
 # No shrink or explain phase: shrinking replays two trees per attempt
 # and can run for many minutes on a divergence, while the falsifying
 # example is printed without it.
 @settings(max_examples=60, deadline=None,
           phases=(Phase.explicit, Phase.reuse, Phase.generate))
 def test_batch_kernels_match_per_link_oracles(seed, script):
-    kernel, oracle = _tree(seed), _oracle_tree(seed)
-    for tick in range(TICKS):
-        now = tick * TICK_SECONDS
-        for step in script:
-            if step[0] == tick:
-                _apply(kernel, step, now)
-                _apply(oracle, step, now)
-        kernel.health.tick_all(now)
-        sweeps.health_tick(oracle.health, now)
-        kernel.monitor.poll_all(now)
-        sweeps.monitor_poll(oracle.monitor, now)
-        if tick % SLOW_EVERY == 0:
-            kernel.dust.step_all(now)
-            sweeps.dust_tick(oracle.dust, now)
-        if tick % SLOW_EVERY == SLOW_EVERY // 2:
-            kernel.aging.step_all(now)
-            sweeps.aging_tick(oracle.aging, now)
-        _assert_same(kernel, oracle, tick, now)
+    _run(seed, script)
+
+
+@given(seed=st.integers(0, 2**16), script=_steps(OPS + OUTSIDE_OPS))
+@settings(max_examples=40, deadline=None,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate))
+def test_the_poll_matches_its_oracle_under_every_writer(seed, script):
+    _run(seed, script, kernels=False)
+
+
+#: The poll scripts, on the monitor alone: (script, ticks, the link
+#: index and symptom the kernel tree must report, at these ticks).
+POLL_SCRIPTS = {
+    # A row the loss setter made lossy after the first poll (so only
+    # the feed can report it) reaches HIGH_LOSS after 1800 s.
+    "setter-lossy": ([_step(1, "set_loss", 5, magnitude=0.5)], 33,
+                     5, Symptom.HIGH_LOSS, [31]),
+    # A DOWN row crosses its 900 s grace period between two polls at
+    # which the feed reports nothing.
+    "quiet-grace": ([_step(1, "flip", 7)], 18, 7, Symptom.LINK_DOWN,
+                    [16]),
+    # Eight flaps two ticks apart; each mute TTL (1200 s) expiry
+    # re-reports them, the last when exactly four remain in the
+    # window as the others leave it one poll at a time.
+    "burst-leaves": ([_step(1 + 2 * flap, "flip", 9)
+                      for flap in range(8)], 70, 9,
+                     Symptom.LINK_FLAPPING, [8, 28, 48, 68]),
+    # The last row, DOWN and watched, is swapped into the row a
+    # disconnect freed; it is still reported after its grace period.
+    "swap-watched": ([_step(1, "flip", 31), _step(3, "disconnect", 2)],
+                     18, 31, Symptom.LINK_DOWN, [16]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(POLL_SCRIPTS))
+def test_the_poll_matches_its_oracle_on_outside_writes(name):
+    script, ticks, index, symptom, at_ticks = POLL_SCRIPTS[name]
+    link_id = list(_tree(0).fabric.links)[index]
+    kernel = _run(0, script, ticks=ticks, kernels=False)
+    assert [round(event.time / TICK_SECONDS) for event
+            in kernel.monitor.events
+            if (event.link_id, event.symptom) == (link_id, symptom)] \
+        == at_ticks
 
 
 def test_event_time_evaluation_rejects_unbound_links():

@@ -12,6 +12,7 @@ from dcrobot.network import (
     SwitchRole,
 )
 from dcrobot.network.enums import is_flap
+from dcrobot.network.state import FlapWindow
 
 
 @pytest.fixture
@@ -194,9 +195,9 @@ def test_link_state_timeline_and_uptime(fabric):
 
 def test_maintenance_transitions_are_not_flaps(fabric):
     """Taking a link out of service and back is administrative: the
-    setter, the window count and the fabric's flap log all apply
-    ``is_flap``, which counts only UP<->non-UP crossings outside
-    MAINTENANCE."""
+    setter, the window count and the fabric's flap log (as a sliding
+    window counts it) all apply ``is_flap``, which counts only
+    UP<->non-UP crossings outside MAINTENANCE."""
     assert [state for state in LinkState
             if is_flap(LinkState.UP, state)] \
         == [LinkState.FLAPPING, LinkState.DOWN]
@@ -215,7 +216,9 @@ def test_maintenance_transitions_are_not_flaps(fabric):
         link.set_state(when, state)
     assert link.transition_count == 1  # only UP -> DOWN at t=30
     assert link.transitions_in_window(0.0, 100.0) == 1
-    assert fabric.state.flap_events(0.0, 100.0) == 1
+    window = FlapWindow(fabric.state, width=100.0, threshold=2)
+    window.advance(100.0)
+    assert window.counts == {int(fabric.state.lid_of_row[link._row]): 1}
 
 
 def test_uptime_counts_flapping_as_carrying(fabric):

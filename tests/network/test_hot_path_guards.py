@@ -16,17 +16,25 @@ here by counting, not by timing:
   live rows, and a ``disturb()`` or an input write makes the next tick
   a full pass again;
 * a scoring with no vibration episode rebuilds no episode list;
-* a poll whose flap window holds fewer events than
-  ``flap_transitions`` never computes per-row flap counts;
-* the safety monitor's orphan audit never iterates ``fabric.links``,
-  a check touches no history of an incident it has already audited
-  to its conclusion, and a check with no drain outstanding never
-  builds the in-flight order ids.
+* a poll after a poll whose row-change feed reported no row reads the
+  state code, loss and down-since columns at no row outside its watch
+  set, and a written row is re-tested alone;
+* over many polls each flap event's time is read at most twice,
+  however long the event stays in the window;
+* the mute table is not walked before the earliest mute TTL can have
+  expired, and is walked once it has;
+* the safety monitor's orphan audit never iterates ``fabric.links``
+  and, with a quiet feed and no row under maintenance, reads no
+  ``state_code``; a check touches no history of an incident it has
+  already audited to its conclusion, and a check with no drain
+  outstanding never builds the in-flight order ids.
 
 ``sys.setprofile`` does not see numpy slicing, ``|``, ``~`` or
 comparisons, so the first of the new savings barely shows in counted
 calls; these guards are its evidence.
 """
+
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -39,7 +47,6 @@ from dcrobot.failures import Environment, HealthModel
 from dcrobot.failures.dust import DustProcess
 from dcrobot.network.endface import EndFace
 from dcrobot.network.enums import LinkState
-from dcrobot.network.state import FabricState
 from dcrobot.telemetry import Symptom, TelemetryMonitor
 from dcrobot.topology import build_fattree
 
@@ -112,7 +119,11 @@ class _ReadLogged(np.ndarray):
 
 
 def _log_reads(columns):
-    """Wrap each ``(owner, attribute)`` column in one read log."""
+    """Wrap each ``(owner, attribute)`` column in one read log.
+
+    Only reads through the wrapped attribute are seen: a consumer that
+    re-slices the attribute per call (every kernel does) is logged.
+    """
     log = []
     for owner, name in columns:
         view = getattr(owner, name).view(_ReadLogged)
@@ -214,30 +225,150 @@ def test_a_scoring_without_vibration_rebuilds_no_episode_list(fabric):
     assert environment._vibrations == []
 
 
-def test_a_poll_with_a_quiet_flap_window_skips_the_row_counts(
-        fabric, monkeypatch):
+#: The columns the poll's down and loss predicates read.
+POLLED = ("state_code", "loss_rate", "down_since")
+
+
+def _positions(key, length):
+    """The positions one logged read touched: an int key is one, a
+    slice its range (a whole-column predicate reads every row)."""
+    if isinstance(key, slice):
+        return range(*key.indices(length))
+    return (int(key),)
+
+
+def _read_rows(reads, n_links):
+    """The rows a read log touched."""
+    return {row for _name, key in reads
+            for row in _positions(key, n_links)}
+
+
+def test_a_quiet_poll_reads_only_the_watched_rows(fabric):
+    monitor = TelemetryMonitor(fabric)
+    state = fabric.state
+    links = list(fabric.links.values())
+    down, lossy, written = links[3], links[40], links[90]
+    down.set_state(0.0, LinkState.DOWN)
+    lossy.loss_rate = 1e-3
+    monitor.poll_all(60.0)  # the first poll rescans
+    watched = {state.index_of[link.id] for link in (down, lossy)}
+    reads = _log_reads((state, name) for name in POLLED)
+    for poll in range(2, 8):
+        monitor.poll_all(60.0 * poll)
+    assert _read_rows(reads, state.n_links) <= watched
+    # A written row is re-tested alone, and joins the watch set.
+    written.set_state(500.0, LinkState.DOWN)
+    reads.clear()
+    monitor.poll_all(540.0)
+    assert _read_rows(reads, state.n_links) \
+        <= watched | {state.index_of[written.id]}
+    events = monitor.poll_all(1500.0)
+    assert [(event.link_id, event.symptom) for event in events] \
+        == [(down.id, Symptom.LINK_DOWN), (written.id, Symptom.LINK_DOWN)]
+
+
+def test_a_poll_detects_flapping_at_the_threshold_th_event(fabric):
     monitor = TelemetryMonitor(fabric)
     threshold = monitor.detector.params.flap_transitions
     link = next(iter(fabric.links.values()))
-    counted = []
-    flap_counts = FabricState.flap_counts
-
-    def counting(self, start, end):
-        counted.append((start, end))
-        return flap_counts(self, start, end)
-
-    monkeypatch.setattr(FabricState, "flap_counts", counting)
     states = (LinkState.DOWN, LinkState.UP) * threshold
     for index in range(threshold - 1):
         link.set_state(60.0 * (index + 1), states[index])
     assert monitor.poll_all(60.0 * threshold) == []
-    assert counted == []
-    # The threshold-th event in the window: the counts run and report.
+    # The threshold-th event in the window: the poll reports.
     link.set_state(60.0 * threshold, states[threshold - 1])
     events = monitor.poll_all(60.0 * (threshold + 1))
-    assert len(counted) == 1
     assert [(event.link_id, event.symptom) for event in events] \
         == [(link.id, Symptom.LINK_FLAPPING)]
+
+
+def test_each_flap_time_is_read_at_most_twice(fabric):
+    monitor = TelemetryMonitor(fabric)
+    state = fabric.state
+    links = list(fabric.links.values())[:12]
+    monitor.poll_all(0.0)  # the first poll builds the (empty) window
+    log = _log_reads([(state, "_flap_times")])
+    reads = []
+    rng = np.random.default_rng(11)
+    window = monitor.detector.params.flap_window_seconds
+    now = 0.0
+    for poll in range(1, 200):  # 200 polls over 5.5 windows
+        end = 100.0 * poll
+        while now < end:
+            now += float(rng.exponential(40.0))
+            link = links[int(rng.integers(len(links)))]
+            link.set_state(now, LinkState.UP if link.state
+                           is LinkState.DOWN else LinkState.DOWN)
+        log.clear()  # the log's own appends read its tail
+        monitor.poll_all(end)
+        reads.extend(log)
+    events = state._flap_len
+    assert events > 400 and now > 5 * window
+    per_position = Counter(position for _name, key in reads
+                           for position in _positions(key, events))
+    assert max(per_position.values()) <= 2
+
+
+class _IterLogged(dict):
+    """A mute table that logs every walk over itself."""
+
+    def __init__(self, items, log):
+        super().__init__(items)
+        self.log = log
+
+    def items(self):
+        self.log.append("items")
+        return super().items()
+
+    def values(self):
+        self.log.append("values")
+        return super().values()
+
+    def __iter__(self):
+        self.log.append("iter")
+        return super().__iter__()
+
+
+def test_the_mute_table_is_walked_once_a_ttl_can_expire(fabric):
+    monitor = TelemetryMonitor(fabric, mute_ttl_seconds=1200.0)
+    links = list(fabric.links.values())
+    walks = []
+    monitor._muted = _IterLogged(monitor._muted, walks)
+    monitor.mute(links[0].id, 100.0)
+    monitor.mute(links[1].id, 400.0)
+    for poll in range(1, 22):  # 60 s .. 1260 s
+        monitor.poll_all(60.0 * poll)
+        if 60.0 * poll < 1300.0:
+            assert walks == [], poll
+    # The earliest TTL has not come due by 1260 s; at 1320 s it has.
+    monitor.poll_all(1320.0)
+    assert walks
+    assert monitor.muted_links() == [links[1].id]
+    # The walk reset the bound to the remaining mute: quiet again...
+    walks.clear()
+    monitor.poll_all(1380.0)
+    assert walks == []
+    # ...until that one expires.
+    monitor.poll_all(1600.0)
+    assert walks and monitor.muted_links() == []
+
+
+def test_a_quiet_orphan_check_reads_no_state_code(world):
+    _controller, safety, _stub = build(world)
+    safety.check(0.0)  # the first check rescans
+    reads = _log_reads([(world.fabric.state, "state_code")])
+    safety.check(600.0)
+    safety.check(1200.0)
+    assert reads == []
+    # A link taken into maintenance is re-tested alone and reported.
+    orphan = world.links[2]
+    world.health.begin_maintenance(orphan, 1300.0)
+    safety.check(1800.0)
+    assert {key for _name, key in reads} \
+        == {world.fabric.state.index_of[orphan.id]}
+    assert [(violation.kind, violation.target)
+            for violation in safety.violations] \
+        == [(SafetyMonitor.MAINTENANCE_ORPHAN, orphan.id)]
 
 
 def test_the_orphan_audit_never_scans_the_links(world):

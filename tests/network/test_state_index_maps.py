@@ -13,7 +13,7 @@ import pytest
 
 from dcrobot.network import Fabric, HallLayout, SwitchRole
 from dcrobot.network.enums import LinkState
-from dcrobot.network.state import CODE_OF, DOWN_CODE, UP_CODE
+from dcrobot.network.state import CODE_OF, DOWN_CODE, UP_CODE, FlapWindow
 
 
 @pytest.fixture
@@ -212,9 +212,11 @@ def test_flap_log_matches_object_walk(fabric):
     link_b.set_state(30.0, LinkState.MAINTENANCE)
     link_b.set_state(35.0, LinkState.UP)
     state = fabric.state
-    counts = state.flap_counts(0.0, 100.0)
+    window = FlapWindow(state, width=100.0, threshold=2)
+    assert window.advance(100.0) == [state.index_of[link_a.id]]
     for row, link in enumerate(state.links_by_row):
-        assert counts[row] == link.transitions_in_window(0.0, 100.0)
+        assert window.counts.get(int(state.lid_of_row[row]), 0) \
+            == link.transitions_in_window(0.0, 100.0)
 
 
 def test_double_bind_rejected(fabric):

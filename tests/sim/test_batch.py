@@ -9,13 +9,17 @@ DAY = 86400.0
 #: ``build_world``'s cadences (health, telemetry, dust, aging) plus a
 #: 45 s cadence coprime with the 60 s ones.
 PERIODS = (60.0, 60.0, 21600.0, 21600.0, 45.0)
+#: A non-integer period next to the 60 s and 21,600 s cadences: its
+#: boundaries are sums of an inexact float, which the ticker must land
+#: on exactly as a separate process's timeouts do.
+FRACTIONAL_PERIODS = (60.0, 0.7, 21600.0, 60.0)
 
 
-def _ticker_log(horizon):
+def _ticker_log(horizon, periods=PERIODS):
     sim = Simulation()
     log = []
     ticker = BatchTicker(sim)
-    for index, period in enumerate(PERIODS):
+    for index, period in enumerate(periods):
         ticker.add(lambda now, index=index: log.append((now, index)),
                    period, first_at=sim.now if index == 0 else None)
     sim.process(ticker.run(sim))
@@ -23,7 +27,7 @@ def _ticker_log(horizon):
     return log
 
 
-def _separate_processes_log(horizon):
+def _separate_processes_log(horizon, periods=PERIODS):
     """One generator process per cadence: tick-then-sleep for the
     first, sleep-then-tick for the rest."""
     sim = Simulation()
@@ -39,7 +43,7 @@ def _separate_processes_log(horizon):
             yield sim.timeout(period)
             log.append((sim.now, index))
 
-    for index, period in enumerate(PERIODS):
+    for index, period in enumerate(periods):
         shape = tick_then_sleep if index == 0 else sleep_then_tick
         sim.process(shape(index, period))
     sim.run(until=horizon)
@@ -53,6 +57,17 @@ def test_firing_order_matches_one_process_per_cadence():
     # Every cadence fired, shared boundaries included.
     assert {index for _now, index in log} == set(range(len(PERIODS)))
     assert (180.0, 4) in log and (21600.0, 2) in log
+
+
+def test_a_non_integer_period_keeps_the_one_process_order():
+    horizon = 21600.0 + 120.0
+    log = _ticker_log(horizon, FRACTIONAL_PERIODS)
+    assert log == _separate_processes_log(horizon, FRACTIONAL_PERIODS)
+    fired = [index for _now, index in log]
+    assert fired.count(1) > 30000 and (21600.0, 2) in log
+    # A shared boundary fires by (last fired, index): the 21,600 s
+    # cadence last fired at registration, the 60 s ones a minute ago.
+    assert [index for now, index in log if now == 21600.0] == [2, 0, 3]
 
 
 def test_rejects_a_non_positive_period():

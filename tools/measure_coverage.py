@@ -42,7 +42,8 @@ TARGETS = ("src/dcrobot/core", "src/dcrobot/chaos",
            "src/dcrobot/network/endface.py",
            "src/dcrobot/telemetry/detectors.py",
            "src/dcrobot/telemetry/monitor.py",
-           "src/dcrobot/metrics/mttr.py")
+           "src/dcrobot/metrics/mttr.py",
+           "src/dcrobot/sim/batch.py")
 
 
 def _target_files():

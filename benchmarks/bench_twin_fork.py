@@ -115,10 +115,10 @@ def test_fork_rollout_beats_rebuild_rollout(benchmark):
     link_ids = list(topology.fabric.links)[:8]
 
     def fork_and_roll():
-        with TwinWorld.fork(topology.fabric, traffic,
-                            rng=np.random.default_rng(7),
-                            smi_tracker=tracker) as twin:
-            return _rollout(twin, link_ids)
+        twin = TwinWorld.fork(topology.fabric, traffic,
+                              rng=np.random.default_rng(7),
+                              smi_tracker=tracker)
+        return _rollout(twin, link_ids)
 
     forked = run_once(benchmark, fork_and_roll)
     fork_seconds = benchmark.stats.stats.mean

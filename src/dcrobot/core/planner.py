@@ -207,14 +207,14 @@ class PlanScore:
 class TwinPlanner:
     """Ranks candidate repair plans by forking the world per plan.
 
-    Each :meth:`evaluate` call forks the live world copy-on-write,
-    executes the candidate (drain → maintenance → repair → undrain)
-    column-wise in the twin, rolls the twin ``rollout_windows`` traffic
-    windows ahead under the live matrix parameters, and scores the
-    outcome.  The live world is never touched: the fork is released
-    (``cow_release``) before returning, twin RNG draws come from
-    dedicated numbered substreams, and the twin's accounting columns
-    live only on the forked state.
+    Each :meth:`evaluate` call forks the live world (a copy of its
+    fabric state), executes the candidate (drain → maintenance →
+    repair → undrain) column-wise in the twin, rolls the twin
+    ``rollout_windows`` traffic windows ahead under the live matrix
+    parameters, and scores the outcome.  The live world is never
+    touched: the twin writes only its own copied columns, twin RNG
+    draws come from dedicated numbered substreams, and the twin's
+    accounting columns live only on the forked state.
     """
 
     def __init__(self, fabric, traffic, driver,
@@ -258,19 +258,19 @@ class TwinPlanner:
         self._evaluations += 1
         rng = self.streams.stream(
             f"twin:{self._evaluations}:{request.link_id}")
-        with TwinWorld.fork(self.fabric, self.traffic,
-                            driver=self.driver, rng=rng, now=now,
-                            smi_tracker=self.smi_tracker) as twin:
-            twin.begin_maintenance(request.link_id)
-            twin.roll(cfg.repair_windows)
-            twin.repair_link(request.link_id)
-            twin.roll(cfg.rollout_windows)
-            # Score over every rolled window: draining a loaded link
-            # hurts during the maintenance windows, a good repair helps
-            # afterwards — the twin weighs both.
-            p99 = twin.p99_fct()
-            smi = (twin.predicted_smi()
-                   if self.smi_tracker is not None else 0.0)
+        twin = TwinWorld.fork(self.fabric, self.traffic,
+                              driver=self.driver, rng=rng, now=now,
+                              smi_tracker=self.smi_tracker)
+        twin.begin_maintenance(request.link_id)
+        twin.roll(cfg.repair_windows)
+        twin.repair_link(request.link_id)
+        twin.roll(cfg.rollout_windows)
+        # Score over every rolled window: draining a loaded link hurts
+        # during the maintenance windows, a good repair helps
+        # afterwards — the twin weighs both.
+        p99 = twin.p99_fct()
+        smi = (twin.predicted_smi()
+               if self.smi_tracker is not None else 0.0)
         fct_term = 0.0 if math.isnan(p99) else p99
         score = cfg.fct_weight * fct_term - cfg.smi_weight * smi
         return PlanScore(request=request, predicted_smi=smi,

@@ -20,7 +20,6 @@ from typing import Dict, List, Optional
 
 from dcrobot.core.actions import WorkOrder
 from dcrobot.core.leadership import FencingGuard
-from dcrobot.traffic.routing import EcmpRouter
 
 SECONDS_PER_DAY = 86400.0
 
@@ -46,13 +45,12 @@ class SchedulerConfig:
 class ImpactAwareScheduler:
     """Drains traffic around repairs and times proactive work."""
 
-    def __init__(self, router: Optional[EcmpRouter] = None,
-                 config: Optional[SchedulerConfig] = None,
+    def __init__(self, config: Optional[SchedulerConfig] = None,
                  traffic=None) -> None:
-        self.router = router
-        #: Columnar traffic engine (duck-typed: ``drain``/``undrain``);
-        #: drains apply to it alongside the object router so modelled
-        #: traffic actually migrates before the physical disturbance.
+        #: The drain target (duck-typed: ``drain``/``undrain``), the
+        #: columnar traffic engine in a built world, so modelled
+        #: traffic migrates before the physical disturbance.  Without
+        #: one the scheduler drains nothing.
         self.traffic = traffic
         self.config = config or SchedulerConfig()
         #: link ids drained per order id, for symmetric undrain.
@@ -85,7 +83,7 @@ class ImpactAwareScheduler:
 
         An order whose fencing token the guard refuses drains nothing.
         """
-        if self.router is None and self.traffic is None:
+        if self.traffic is None:
             return []
         if not self.fence.admit(order.fencing_token,
                                 time=order.created_at,
@@ -96,20 +94,14 @@ class ImpactAwareScheduler:
         if self.config.drain_announced:
             drained.extend(order.announced_touches)
         for link_id in drained:
-            if self.router is not None:
-                self.router.drain(link_id)
-            if self.traffic is not None:
-                self.traffic.drain(link_id)
+            self.traffic.drain(link_id)
         self._drained_for_order[order.order_id] = drained
         return drained
 
     def after_repair(self, order: WorkOrder) -> None:
         """Undrain everything drained for this order."""
         for link_id in self._drained_for_order.pop(order.order_id, []):
-            if self.router is not None:
-                self.router.undrain(link_id)
-            if self.traffic is not None:
-                self.traffic.undrain(link_id)
+            self.traffic.undrain(link_id)
 
     def outstanding_drains(self) -> Dict[int, List[str]]:
         """Order id -> link ids still drained on its behalf.

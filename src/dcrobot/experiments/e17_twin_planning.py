@@ -2,10 +2,10 @@
 
 Paper anchor: §4 — a self-maintaining system should "simulate the
 repair before executing it": the digital twin forks the live world
-copy-on-write (:class:`~dcrobot.twin.world.TwinWorld`), plays each
-candidate repair forward a few traffic windows under the live matrix,
-and the controller dispatches the candidate whose predicted SMI /
-p99-FCT score is best.
+by copying its fabric columns (:class:`~dcrobot.twin.world.TwinWorld`),
+plays each candidate repair forward a few traffic windows under the
+live matrix, and the controller dispatches the candidate whose
+predicted SMI / p99-FCT score is best.
 
 The scenario makes the choice matter.  A rolling reseat campaign
 offers the controller several candidate links per policy cycle — a
@@ -285,7 +285,7 @@ def run(quick: bool = True, seed: int = 0,
         f"per cycle ({fifo.reseats} vs {twin.reseats})")
     result.note(
         f"each ranking decision cost {TWIN.max_candidates} "
-        f"copy-on-write world forks rolled "
+        f"copied world forks rolled "
         f"{TWIN.repair_windows + TWIN.rollout_windows} windows each "
         f"({twin.forks} forks total); the live world is never "
         f"touched — fork isolation is property-tested in "

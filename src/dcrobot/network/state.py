@@ -44,11 +44,10 @@ Design rules:
   call, or is told to rescan.  The telemetry poll and the safety
   monitor's orphan audit keep their row sets from it instead of
   re-deriving them from whole columns on every call.
-* **Copy-on-write forks.**  :meth:`FabricState.fork` snapshots the
-  whole store in O(1): every column is *shared* between the states
-  until one of them writes it, at which point the writer keeps the
-  buffer and every other holder silently receives its own plain copy
-  (see :class:`_CowColumn`).  A fork is a pure *data* twin — the
+* **Forks by copying.**  :meth:`FabricState.fork` snapshots the whole
+  store with one ``ndarray.copy()`` per column and copies of the row
+  maps, so a fork and its parent share no buffer and a dropped fork is
+  freed with its last reference.  A fork is a pure *data* twin — the
   Link/Transceiver/... view objects stay bound to the parent, so a
   forked state is mutated column-wise (the digital-twin vocabulary in
   :mod:`dcrobot.twin.world`), never through the object setters.
@@ -96,97 +95,10 @@ _SPEC = (
 )
 
 
-#: Attributes shared lazily between forked states: every managed
-#: column plus the flap-event log arrays.
-_COW_ATTRS = tuple(name for name, _d, _t, _s in _SPEC) \
+#: Every array a fork copies: the managed columns plus the flap-event
+#: log.
+_ARRAY_ATTRS = tuple(name for name, _d, _t, _s in _SPEC) \
     + ("_flap_times", "_flap_lids")
-
-
-class _Share:
-    """One lazily-shared buffer and the states currently holding it.
-
-    ``on_write(writer)`` is the whole copy-on-write protocol: the
-    *writer keeps the buffer* (so any views it handed out — kernel
-    slices like ``state.ox[:, :n]`` — stay valid through the write)
-    and every other holder is re-pointed at a private plain copy.
-    """
-
-    __slots__ = ("name", "holders", "dead")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.holders: List["FabricState"] = []
-        self.dead = False
-
-    def on_write(self, writer) -> None:
-        self.dead = True
-        for holder in self.holders:
-            current = getattr(holder, self.name)
-            if not isinstance(current, _CowColumn) \
-                    or current._share is not self:
-                continue  # already detached (e.g. by a _grow)
-            if holder is writer:
-                setattr(holder, self.name, current.view(np.ndarray))
-            else:
-                setattr(holder, self.name,
-                        np.array(current, subok=False))
-        self.holders = []
-
-
-class _CowColumn(np.ndarray):
-    """An ndarray with a copy-on-first-write barrier.
-
-    Slicing propagates the barrier (``self.base is not None`` in
-    ``__array_finalize__``), so writes through kernel views like
-    ``state.seated[:, :n]`` still trigger it; ufunc *results* are
-    fresh allocations (``base is None``) and stay barrier-free, so
-    ``usable = state_code[:n] <= FLAPPING_CODE; usable[row] = False``
-    never causes a spurious copy.  One caveat for consumers: a raw
-    column view cached across a *foreign* state's write goes stale —
-    re-slice from the attribute per operation (which every kernel in
-    the codebase already does; :class:`LinkColumn` is the sanctioned
-    long-lived indirection).
-    """
-
-    _share: "_Share" = None
-    _owner: "FabricState" = None
-
-    def __array_finalize__(self, obj):
-        if obj is None or self.base is None:
-            self._share = None
-            self._owner = None
-        else:
-            self._share = getattr(obj, "_share", None)
-            self._owner = getattr(obj, "_owner", None)
-
-    def _barrier(self) -> None:
-        share = self._share
-        if share is not None and not share.dead:
-            share.on_write(self._owner)
-
-    def __setitem__(self, key, value):
-        self._barrier()
-        np.ndarray.__setitem__(self, key, value)
-
-    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-        # In-place ufuncs (`col += x`, `np.add.at(col, ...)`) bypass
-        # __setitem__; fire the barrier for their write targets, then
-        # run the ufunc on plain views (results stay plain ndarrays).
-        out = kwargs.get("out")
-        if out:
-            for target in out:
-                if isinstance(target, _CowColumn):
-                    target._barrier()
-            kwargs["out"] = tuple(
-                target.view(np.ndarray)
-                if isinstance(target, _CowColumn) else target
-                for target in out)
-        elif method == "at" and isinstance(inputs[0], _CowColumn):
-            inputs[0]._barrier()
-        inputs = tuple(value.view(np.ndarray)
-                       if isinstance(value, _CowColumn) else value
-                       for value in inputs)
-        return getattr(ufunc, method)(*inputs, **kwargs)
 
 
 class LinkColumn:
@@ -196,6 +108,9 @@ class LinkColumn:
     Gilbert-Elliott phase) register a column via
     :meth:`FabricState.add_link_column`; the state keeps ``values``
     row-aligned through link additions, removals, and capacity growth.
+    A fork starts with none of its parent's columns: a consumer of the
+    fork registers its own (as :meth:`TrafficState.fork
+    <dcrobot.traffic.state.TrafficState.fork>` does).
     """
 
     __slots__ = ("values", "fill")
@@ -256,9 +171,6 @@ class FabricState:
         #: Structural-event subscribers (zero cost while empty); see
         #: :meth:`subscribe_structure`.
         self._listeners: List[Callable] = []
-        #: True while ``links_by_row``/``index_of``/``_row_of_lid`` are
-        #: shared with a fork; the first structural op copies them.
-        self._containers_shared = False
 
     def __repr__(self) -> str:
         return (f"<FabricState links={self.n_links} "
@@ -288,22 +200,23 @@ class FabricState:
         for listener in self._listeners:
             listener(event, **info)
 
-    # -- copy-on-write forking -------------------------------------------------
+    # -- forking -------------------------------------------------------------
 
     def fork(self) -> "FabricState":
-        """An O(1) data snapshot sharing every column lazily.
+        """A data snapshot: private copies of every array and row map.
 
         The fork carries the parent's counters (``generation``,
         ``route_generation``, ``input_writes``, lids, flap log length)
-        and sees identical column contents; the first write to any
-        shared column — from either side — splits just that column
-        (writer keeps the buffer).  Containers are shared too and
-        copied on the first *structural* op.  The row-change log is
-        not shared: a consumer of either side never sees the other's
-        writes, and the fork's first :meth:`row_changes` is a rescan.
-        The fork is a plain data twin: the bound view objects in
-        ``links_by_row`` still point at the parent, so mutate a fork
-        column-wise, never through object setters.
+        and copies of every column, the flap log, ``links_by_row``,
+        ``index_of`` and the lid map, so a write on either side stays
+        on that side and a dropped fork is freed with its last
+        reference.  Consumer columns and structure listeners stay with
+        the parent.  The row-change log is the fork's own: a consumer
+        of either side never sees the other's writes, and the fork's
+        first :meth:`row_changes` is a rescan.  The fork is a plain
+        data twin: the bound view objects in ``links_by_row`` still
+        point at the parent, so mutate a fork column-wise, never
+        through object setters.
         """
         child = FabricState.__new__(FabricState)
         child._capacity = self._capacity
@@ -317,75 +230,14 @@ class FabricState:
         child._flap_len = self._flap_len
         child._flap_inserts = self._flap_inserts
         child._row_log = []
-        child.links_by_row = self.links_by_row
-        child.index_of = self.index_of
-        child._row_of_lid = self._row_of_lid
-        self._containers_shared = True
-        child._containers_shared = True
+        child.links_by_row = list(self.links_by_row)
+        child.index_of = dict(self.index_of)
+        child._row_of_lid = list(self._row_of_lid)
         child._columns = []
         child._listeners = []
-        for name in _COW_ATTRS:
-            self._share_attr(child, name)
+        for name in _ARRAY_ATTRS:
+            setattr(child, name, getattr(self, name).copy())
         return child
-
-    def _share_attr(self, child: "FabricState", name: str) -> None:
-        current = getattr(self, name)
-        if isinstance(current, _CowColumn) \
-                and current._share is not None \
-                and not current._share.dead:
-            share = current._share          # join the live share
-            base = current
-        else:
-            share = _Share(name)
-            base = np.asarray(current).view(_CowColumn)
-            base._share = share
-            base._owner = self
-            setattr(self, name, base)
-            share.holders.append(self)
-        wrapper = base.view(_CowColumn)
-        wrapper._share = share
-        wrapper._owner = child
-        setattr(child, name, wrapper)
-        share.holders.append(child)
-
-    def cow_release(self) -> None:
-        """Leave every live share (a discarded fork, or a parent
-        reclaiming plain arrays after its forks are gone).  When one
-        holder remains, its columns unwrap back to plain ndarrays, so
-        a world that is done twinning pays zero write-barrier cost.
-        The leaver detaches like a non-writer at write time: a private
-        copy of any still-shared column, so a closed twin never aliases
-        live-world writes (and vice versa).
-        """
-        for name in _COW_ATTRS:
-            current = getattr(self, name)
-            if not isinstance(current, _CowColumn):
-                continue
-            share = current._share
-            if share is None or share.dead:
-                setattr(self, name, current.view(np.ndarray))
-                continue
-            if self in share.holders:
-                share.holders.remove(self)
-            if share.holders:
-                setattr(self, name, np.array(current, subok=False))
-            else:
-                setattr(self, name, current.view(np.ndarray))
-            if len(share.holders) == 1:
-                share.dead = True
-                last = share.holders[0]
-                attr = getattr(last, name)
-                if isinstance(attr, _CowColumn) \
-                        and attr._share is share:
-                    setattr(last, name, attr.view(np.ndarray))
-                share.holders = []
-
-    def _cow_containers(self) -> None:
-        if self._containers_shared:
-            self.links_by_row = list(self.links_by_row)
-            self.index_of = dict(self.index_of)
-            self._row_of_lid = list(self._row_of_lid)
-            self._containers_shared = False
 
     # -- capacity ------------------------------------------------------------
 
@@ -431,7 +283,6 @@ class FabricState:
             raise ValueError(f"link {link.id} already bound")
         if link._fs is not None:
             raise ValueError(f"link {link.id} bound to another fabric")
-        self._cow_containers()
         if self.n_links == self._capacity:
             self._grow()
         row = self.n_links
@@ -540,7 +391,6 @@ class FabricState:
         the rows dense by swapping the last row into the freed slot."""
         if link.id not in self.index_of:
             raise KeyError(f"link {link.id} not bound")
-        self._cow_containers()
         row = self.index_of.pop(link.id)
         removed_lid = int(self.lid_of_row[row])
         link._loss_rate = float(self.loss_rate[row])
@@ -727,9 +577,9 @@ class FlapWindow:
     next call.  Each event is visited twice however many calls it
     spans, and its time is read at most twice: the window caches the
     time of the next event to enter and of the next to leave.  Log
-    growth and copy-on-write splits keep event positions; an
-    out-of-order insert (counted by ``_log_flap``) or a clock that went
-    backwards rebuilds the counts from a bisection of the log.
+    growth keeps event positions; an out-of-order insert (counted by
+    ``_log_flap``) or a clock that went backwards rebuilds the counts
+    from a bisection of the log.
     """
 
     __slots__ = ("state", "width", "threshold", "counts", "busy",

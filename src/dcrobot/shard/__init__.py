@@ -16,7 +16,6 @@ from dcrobot.shard.boundary import (
 from dcrobot.shard.campus import (
     CampusSummary,
     CampusWorld,
-    legacy_summary,
     run_campus,
 )
 from dcrobot.shard.federation import (
@@ -37,7 +36,6 @@ __all__ = [
     "CampusSummary",
     "CampusWorld",
     "run_campus",
-    "legacy_summary",
     "CampusFederation",
     "CrossHallIncident",
     "FederationRegistry",

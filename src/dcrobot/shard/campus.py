@@ -29,12 +29,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from typing import Dict, List, Optional
 
-from dcrobot.experiments.runner import (
-    WorldConfig,
-    WorldSummary,
-    run_world,
-    summarize_world,
-)
+from dcrobot.experiments.runner import WorldConfig, WorldSummary
 from dcrobot.shard.boundary import BoundaryShard
 from dcrobot.shard.federation import (
     CampusFederation,
@@ -258,9 +253,3 @@ def run_campus(config: WorldConfig,
     the campus counterpart of
     :func:`~dcrobot.experiments.runner.run_world`."""
     return CampusWorld(config).run(jobs=jobs)
-
-
-def legacy_summary(config: WorldConfig) -> WorldSummary:
-    """The legacy single-hall summary for a campus config's hall 0 —
-    the bit-identity oracle the parity suite compares against."""
-    return summarize_world(run_world(hall_config(config, 0)))

@@ -201,7 +201,7 @@ class TrafficState:
     def drained_links(self) -> set:
         return set(self._drained)
 
-    # -- copy-on-write forking ----------------------------------------------
+    # -- forking ------------------------------------------------------------
 
     def fork(self, fabric, rng: Optional[np.random.Generator] = None) \
             -> "TrafficState":

@@ -1,4 +1,4 @@
-"""Digital twins: copy-on-write world forks for what-if evaluation."""
+"""Digital twins: copied world forks for what-if evaluation."""
 
 from dcrobot.twin.world import TwinFabric, TwinWorld
 

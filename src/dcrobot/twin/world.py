@@ -5,9 +5,9 @@ ask "what would the fabric look like if I executed *this* repair plan?"
 without perturbing production.  :class:`TwinWorld` answers it on the
 columnar substrate:
 
-* ``FabricState.fork()`` snapshots every per-link column lazily
-  (copy-on-write — O(1) until the first write, and only the touched
-  column splits);
+* ``FabricState.fork()`` copies every per-link column, so the twin
+  shares no buffer with the live world and is freed like any object
+  once dropped;
 * ``TrafficState.fork()`` shares the routing structure and the
   content-keyed routing memo (adjacency, twin classes, per-class-pair
   path interiors and ECMP member resolutions per best-row state); the
@@ -61,11 +61,9 @@ class TwinFabric:
 class TwinWorld:
     """One forked world: mutate it, roll it forward, read predictions.
 
-    Build with :meth:`fork` (copy-on-write twin of a live world) or
+    Build with :meth:`fork` (a copied twin of a live world) or
     :meth:`wrap` (same vocabulary over an independently owned world,
-    e.g. a deep copy).  Use as a context manager — :meth:`close`
-    releases the copy-on-write shares so a long-lived parent stops
-    paying write barriers once its twins are gone.
+    e.g. a deep copy).  A twin needs no release: drop it when done.
     """
 
     def __init__(self, fabric, fabric_state: FabricState,
@@ -73,8 +71,7 @@ class TwinWorld:
                  rng: np.random.Generator,
                  now: float = 0.0,
                  driver: Optional[TrafficDriver] = None,
-                 smi=None,
-                 owns_fork: bool = False) -> None:
+                 smi=None) -> None:
         self.fabric = fabric
         self.state = fabric_state
         self.traffic = traffic
@@ -86,8 +83,6 @@ class TwinWorld:
         #: Detached SMI aggregates (``SmiTracker.fork()``), advanced by
         #: the replace vocabulary below.
         self.smi_tracker = smi
-        self._owns_fork = owns_fork
-        self._closed = False
 
     # -- constructors ---------------------------------------------------------
 
@@ -96,7 +91,7 @@ class TwinWorld:
              driver: Optional[TrafficDriver] = None,
              rng: Optional[np.random.Generator] = None,
              now: float = 0.0, smi_tracker=None) -> "TwinWorld":
-        """Copy-on-write twin of a live world.
+        """A twin of a live world on a copy of its fabric state.
 
         ``driver`` (the live :class:`~dcrobot.traffic.driver.TrafficDriver`)
         is forked onto the twin's engine, so :meth:`roll` continues the
@@ -111,7 +106,7 @@ class TwinWorld:
                         if traffic is not None else None)
         smi = smi_tracker.fork() if smi_tracker is not None else None
         return cls(twin_fabric, fs_child, twin_traffic, twin_rng,
-                   now=now, driver=driver, smi=smi, owns_fork=True)
+                   now=now, driver=driver, smi=smi)
 
     @classmethod
     def wrap(cls, fabric, traffic: Optional[TrafficState] = None,
@@ -121,21 +116,7 @@ class TwinWorld:
         """The twin vocabulary over a world owned outright (no fork)."""
         return cls(fabric, fabric.state, traffic,
                    rng if rng is not None else np.random.default_rng(0),
-                   now=now, driver=driver, owns_fork=False)
-
-    # -- lifecycle ------------------------------------------------------------
-
-    def close(self) -> None:
-        """Release the copy-on-write shares (idempotent)."""
-        if self._owns_fork and not self._closed:
-            self.state.cow_release()
-        self._closed = True
-
-    def __enter__(self) -> "TwinWorld":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
+                   now=now, driver=driver)
 
     # -- link addressing ------------------------------------------------------
 

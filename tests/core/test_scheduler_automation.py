@@ -43,7 +43,7 @@ def test_quiet_window_timing():
 
 def test_drain_and_undrain_cycle(world):
     router = EcmpRouter(world.fabric)
-    scheduler = ImpactAwareScheduler(router=router)
+    scheduler = ImpactAwareScheduler(traffic=router)
     target = world.links[0]
     neighbor = world.links[1]
     order = WorkOrder(target.id, RepairAction.RESEAT, created_at=0.0,
@@ -58,7 +58,7 @@ def test_drain_and_undrain_cycle(world):
 def test_drain_announced_can_be_disabled(world):
     router = EcmpRouter(world.fabric)
     scheduler = ImpactAwareScheduler(
-        router=router, config=SchedulerConfig(drain_announced=False))
+        traffic=router, config=SchedulerConfig(drain_announced=False))
     order = WorkOrder(world.links[0].id, RepairAction.RESEAT,
                       created_at=0.0,
                       announced_touches=[world.links[1].id])
@@ -67,7 +67,7 @@ def test_drain_announced_can_be_disabled(world):
 
 
 def test_scheduler_without_router_is_noop(world):
-    scheduler = ImpactAwareScheduler(router=None)
+    scheduler = ImpactAwareScheduler()
     order = WorkOrder(world.links[0].id, RepairAction.RESEAT,
                       created_at=0.0)
     assert scheduler.before_repair(order) == []

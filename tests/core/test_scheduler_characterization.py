@@ -89,26 +89,14 @@ def test_traffic_only_scheduler_drains_and_undrains(world):
     target, neighbor = world.links[0], world.links[1]
     order = order_for(target.id, [neighbor.id])
     drained = scheduler.before_repair(order)
-    # A traffic engine alone (no object router) still gets drains —
-    # and the drained-id list is reported just as with a router.
+    # The one drain target gets every drain, and the drained-id list
+    # is reported.
     assert drained == [target.id, neighbor.id]
     assert traffic.calls == [("drain", target.id),
                              ("drain", neighbor.id)]
     scheduler.after_repair(order)
     assert traffic.calls[2:] == [("undrain", target.id),
                                  ("undrain", neighbor.id)]
-
-
-def test_router_and_traffic_both_receive_each_drain(world):
-    traffic = RecordingTraffic()
-    router = EcmpRouter(world.fabric)
-    scheduler = ImpactAwareScheduler(router=router, traffic=traffic)
-    order = order_for(world.links[0].id)
-    scheduler.before_repair(order)
-    assert router.drained_links == {world.links[0].id}
-    assert traffic.calls == [("drain", world.links[0].id)]
-    scheduler.after_repair(order)
-    assert router.drained_links == set()
 
 
 def test_duplicate_announced_touch_drained_twice(world):
@@ -127,7 +115,7 @@ def test_duplicate_announced_touch_drained_twice(world):
 
 def test_outstanding_drains_ledger_lifecycle(world):
     router = EcmpRouter(world.fabric)
-    scheduler = ImpactAwareScheduler(router=router)
+    scheduler = ImpactAwareScheduler(traffic=router)
     first = order_for(world.links[0].id, [world.links[1].id])
     second = order_for(world.links[2].id)
     scheduler.before_repair(first)
@@ -149,7 +137,7 @@ def test_outstanding_drains_ledger_lifecycle(world):
 
 def test_after_repair_for_unknown_order_is_noop(world):
     router = EcmpRouter(world.fabric)
-    scheduler = ImpactAwareScheduler(router=router)
+    scheduler = ImpactAwareScheduler(traffic=router)
     known = order_for(world.links[0].id)
     scheduler.before_repair(known)
     scheduler.after_repair(order_for(world.links[1].id))  # never drained

@@ -58,7 +58,7 @@ def test_router_drain_during_repair():
         dust_rate_per_day=0.0, aging_rate_per_day=0.0,
         level=AutomationLevel.L3_HIGH_AUTOMATION))
     router = EcmpRouter(world.fabric)
-    world.controller.scheduler = ImpactAwareScheduler(router=router)
+    world.controller.scheduler = ImpactAwareScheduler(traffic=router)
 
     victim = list(world.fabric.links.values())[0]
     victim.transceiver_a.firmware_stuck = True

@@ -100,8 +100,6 @@ def test_columns_equal_recompute_after_every_call(seed, sequence):
         for child, frozen in forks:
             for name in COLUMNS:
                 assert np.array_equal(getattr(child, name), frozen[name])
-    for child, _frozen in forks:
-        child.cow_release()
 
 
 def test_lower_deposit_on_another_core_keeps_the_worst():
@@ -124,4 +122,3 @@ def test_parent_deposit_after_fork_leaves_fork_column():
     assert fabric.state.recept_worst[1, link._row] == 0.2
     assert child.cable_end_worst[0, link._row] == 0.0
     assert child.recept_worst[1, link._row] == 0.0
-    child.cow_release()

@@ -77,24 +77,24 @@ def test_a_fork_has_its_own_empty_feed(fabric):
     state = fabric.state
     links = list(fabric.links.values())
     _rows, live = _changes(state, None)
-    with TwinWorld.fork(fabric) as twin:
-        rows, forked = _changes(twin.state, None)
-        assert rows is None
-        twin.set_link_state(links[1].id, LinkState.DOWN, now=10.0)
-        twin.set_loss_rate(links[2].id, 1e-3)
-        twin.repair_link(links[3].id, now=20.0)
-        # The twin's writes reach the twin's feed only...
-        rows, forked = _changes(twin.state, forked)
-        assert rows == {state.index_of[links[index].id]
-                        for index in (1, 2, 3)}
-        rows, live = _changes(state, live)
-        assert rows == set()
-        # ...and the live world's writes the live world's only.
-        links[4].set_state(30.0, LinkState.DOWN)
-        rows, live = _changes(state, live)
-        assert rows == {state.index_of[links[4].id]}
-        rows, forked = _changes(twin.state, forked)
-        assert rows == set()
+    twin = TwinWorld.fork(fabric)
+    rows, forked = _changes(twin.state, None)
+    assert rows is None
+    twin.set_link_state(links[1].id, LinkState.DOWN, now=10.0)
+    twin.set_loss_rate(links[2].id, 1e-3)
+    twin.repair_link(links[3].id, now=20.0)
+    # The twin's writes reach the twin's feed only...
+    rows, forked = _changes(twin.state, forked)
+    assert rows == {state.index_of[links[index].id]
+                    for index in (1, 2, 3)}
+    rows, live = _changes(state, live)
+    assert rows == set()
+    # ...and the live world's writes the live world's only.
+    links[4].set_state(30.0, LinkState.DOWN)
+    rows, live = _changes(state, live)
+    assert rows == {state.index_of[links[4].id]}
+    rows, forked = _changes(twin.state, forked)
+    assert rows == set()
 
 
 WIDTH = 300.0

@@ -24,7 +24,7 @@ from dcrobot.core.automation import AutomationLevel
 from dcrobot.core.leadership import LeaseCoordinator
 from dcrobot.experiments.runner import WorldConfig
 from dcrobot.network.enums import LinkState
-from dcrobot.network.state import _COW_ATTRS
+from dcrobot.network.state import _ARRAY_ATTRS
 from dcrobot.shard import FederationRegistry, HallShard, hall_config
 
 # -- shard isolation ------------------------------------------------------
@@ -46,7 +46,7 @@ _RNG_STREAMS = ("injector", "health", "cascade")
 def _columns(shard):
     return {name: np.array(getattr(shard.fabric.state, name),
                            subok=False)
-            for name in _COW_ATTRS}
+            for name in _ARRAY_ATTRS}
 
 
 def _rng_states(shard):

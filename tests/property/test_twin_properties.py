@@ -1,13 +1,13 @@
-"""Property tests for digital-twin forking: isolation, O(1) cost,
-and fork-vs-independent-world bit-identity.
+"""Property tests for digital-twin forking: isolation, private
+buffers, and fork-vs-independent-world bit-identity.
 
 The contracts proven here are what makes :class:`TwinPlanner` safe to
 run against production state:
 
 * no interleaving of parent and twin mutations ever leaks a write
   across the fork, in either direction;
-* a fork is O(1) in bytes — every column is shared until first write,
-  and a write splits exactly the touched column;
+* a fork shares no buffer with its parent, so each write stays on the
+  side that made it;
 * a forked twin rolled N windows is bit-identical to an independently
   built copy of the same world rolled with the same RNG substream
   (the fork is a *perfect* snapshot, not an approximation).
@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dcrobot.network.enums import LinkState
-from dcrobot.network.state import _COW_ATTRS
+from dcrobot.network.state import _ARRAY_ATTRS
 from dcrobot.network.switchgear import SwitchRole
 from dcrobot.sim.rng import RandomStreams
 from dcrobot.topology import build_fattree
@@ -42,7 +42,7 @@ def make_world(seed, traffic=True):
 
 def snapshot(fs):
     return {name: np.array(getattr(fs, name), subok=False)
-            for name in _COW_ATTRS}
+            for name in _ARRAY_ATTRS}
 
 
 def assert_same(reference, fs):
@@ -94,54 +94,59 @@ def test_interleaved_mutations_never_leak(seed, sequence):
     control_links = list(control_topology.fabric.links.values())
     live_links = list(topology.fabric.links.values())
 
-    with TwinWorld.fork(topology.fabric, traffic) as twin:
-        twin_ops = []
-        for step, (side, kind, index, value) in enumerate(sequence):
-            clock = float(step + 1)
-            index %= len(link_ids)
-            if side == "parent":
-                apply_parent(topology, kind, live_links[index],
-                             value, clock)
-                apply_parent(control_topology, kind,
-                             control_links[index], value, clock)
-            else:
-                apply_twin(twin, kind, link_ids[index], value, clock)
-                twin_ops.append((kind, link_ids[index], value, clock))
-        # parent state is exactly the never-forked control's state
-        assert_same(snapshot(control_topology.fabric.state),
-                    topology.fabric.state)
-        # and the twin is exactly fork-time state + its own ops
-        replay_topology, replay_traffic = make_world(seed)
-        with TwinWorld.fork(replay_topology.fabric,
-                            replay_traffic) as replay:
-            for kind, link_id, value, clock in twin_ops:
-                apply_twin(replay, kind, link_id, value, clock)
-            assert_same(snapshot(replay.state), twin.state)
+    twin = TwinWorld.fork(topology.fabric, traffic)
+    twin_ops = []
+    for step, (side, kind, index, value) in enumerate(sequence):
+        clock = float(step + 1)
+        index %= len(link_ids)
+        if side == "parent":
+            apply_parent(topology, kind, live_links[index],
+                         value, clock)
+            apply_parent(control_topology, kind,
+                         control_links[index], value, clock)
+        else:
+            apply_twin(twin, kind, link_ids[index], value, clock)
+            twin_ops.append((kind, link_ids[index], value, clock))
+    # parent state is exactly the never-forked control's state
+    assert_same(snapshot(control_topology.fabric.state),
+                topology.fabric.state)
+    # and the twin is exactly fork-time state + its own ops
+    replay_topology, replay_traffic = make_world(seed)
+    replay = TwinWorld.fork(replay_topology.fabric, replay_traffic)
+    for kind, link_id, value, clock in twin_ops:
+        apply_twin(replay, kind, link_id, value, clock)
+    assert_same(snapshot(replay.state), twin.state)
 
 
 @given(seed=st.integers(min_value=0, max_value=50),
        index=st.integers(min_value=0, max_value=47))
 @settings(max_examples=25, deadline=None)
-def test_fork_is_o1_until_first_write(seed, index):
-    """Every column is shared at fork; one write splits exactly one."""
+def test_a_fork_shares_no_buffer_and_each_write_stays_on_its_side(
+        seed, index):
+    """A fork copies every array and row map; a twin write reaches
+    only the twin, a parent write only the parent."""
     topology, _ = make_world(seed, traffic=False)
     fs = topology.fabric.state
-    link_ids = list(topology.fabric.links)
-    link_id = link_ids[index % len(link_ids)]
-    with TwinWorld.fork(topology.fabric) as twin:
-        shared = [name for name in _COW_ATTRS
-                  if getattr(fs, name).size
-                  and np.shares_memory(getattr(fs, name),
-                                       getattr(twin.state, name))]
-        nonempty = [name for name in _COW_ATTRS
-                    if getattr(fs, name).size]
-        assert shared == nonempty  # O(1): zero bytes copied
-        twin.set_loss_rate(link_id, 0.9)
-        for name in nonempty:
-            expect_shared = name != "loss_rate"
-            assert np.shares_memory(
-                getattr(fs, name),
-                getattr(twin.state, name)) == expect_shared, name
+    links = list(topology.fabric.links.values())
+    link = links[index % len(links)]
+    twin = TwinWorld.fork(topology.fabric)
+    for name in _ARRAY_ATTRS:
+        parent, child = getattr(fs, name), getattr(twin.state, name)
+        assert not np.shares_memory(parent, child), name
+        assert np.array_equal(parent, child, equal_nan=True), name
+    for name in ("links_by_row", "index_of", "_row_of_lid"):
+        parent, child = getattr(fs, name), getattr(twin.state, name)
+        assert child is not parent and child == parent, name
+    before = snapshot(fs)
+    twin.set_loss_rate(link.id, 0.9)
+    twin.set_link_state(link.id, LinkState.DOWN, now=1.0)
+    assert_same(before, fs)
+    forked = snapshot(twin.state)
+    link.set_state(2.0, LinkState.MAINTENANCE)
+    fs.loss_rate[link._row] = 0.25
+    assert_same(forked, twin.state)
+    assert twin.link_state(link.id) is LinkState.DOWN
+    assert twin.state.loss_rate[link._row] == 0.9
 
 
 @given(seed=st.integers(min_value=0, max_value=30),
@@ -218,7 +223,6 @@ def test_twin_rollout_bit_identical_to_independent_world(
     for fork in forks:
         # The siblings ended on the warm parent's own resolution.
         assert fork.traffic._resolution is parent._resolution
-        fork.close()
 
     for name, (projected, last, stats) in zip(names, fork_runs):
         cold_topology, cold_traffic = build()

@@ -222,7 +222,6 @@ def test_fork_shares_the_routing_memo(traffic, topo, tors, lex_calls):
     traffic.drain(link.id)
     assert traffic.equal_cost_paths(src, dst) == drained
     assert len(lex_calls) == 2
-    child.cow_release()
 
 
 def test_fork_projections_see_only_the_pairs_it_offered(topo):
@@ -256,7 +255,6 @@ def test_fork_projections_see_only_the_pairs_it_offered(topo):
     assert projected == [cold.projected_group_utilization(link_id)
                          for link_id in topo.fabric.links]
     assert float("inf") in projected  # a fan of one: nowhere to go
-    child.cow_release()
 
 
 def test_memo_hit_paths_match_object_router(traffic, topo, tors,

@@ -1,11 +1,13 @@
 """Unit tests for TwinWorld: forking, the mutation vocabulary,
 rolling, and prediction queries."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from dcrobot.network.enums import LinkState
-from dcrobot.network.state import _COW_ATTRS
 from dcrobot.network.switchgear import SwitchRole
 from dcrobot.sim.rng import RandomStreams
 from dcrobot.topology import build_fattree
@@ -26,66 +28,46 @@ def make_world(seed=7, k=4, traffic=True):
     return topology, state
 
 
-def column_pairs(parent_fs, child_fs):
-    for name in _COW_ATTRS:
-        yield name, getattr(parent_fs, name), getattr(child_fs, name)
-
-
 # -- fork mechanics -----------------------------------------------------------
-
-
-def test_fork_shares_every_column():
-    topology, traffic = make_world()
-    fs = topology.fabric.state
-    with TwinWorld.fork(topology.fabric, traffic) as twin:
-        for name, parent, child in column_pairs(fs, twin.state):
-            if parent.size == 0:
-                continue
-            assert np.shares_memory(parent, child), name
-
-
-def test_twin_write_splits_only_the_touched_column():
-    topology, traffic = make_world()
-    fs = topology.fabric.state
-    link_id = next(iter(topology.fabric.links))
-    with TwinWorld.fork(topology.fabric, traffic) as twin:
-        twin.set_loss_rate(link_id, 0.5)
-        for name, parent, child in column_pairs(fs, twin.state):
-            if parent.size == 0:
-                continue
-            if name == "loss_rate":
-                assert not np.shares_memory(parent, child)
-            else:
-                assert np.shares_memory(parent, child), name
-        row = twin._row(link_id)
-        assert twin.state.loss_rate[row] == 0.5
-        assert fs.loss_rate[row] == 0.0
 
 
 def test_parent_write_does_not_leak_into_twin():
     topology, traffic = make_world()
     fabric = topology.fabric
     link = next(iter(fabric.links.values()))
-    with TwinWorld.fork(fabric, traffic) as twin:
-        before = int(twin.state.state_code[link._row])
-        link.set_state(10.0, LinkState.DOWN)
-        assert int(twin.state.state_code[link._row]) == before
-        assert twin.link_state(link.id) is LinkState.UP
+    twin = TwinWorld.fork(fabric, traffic)
+    before = int(twin.state.state_code[link._row])
+    link.set_state(10.0, LinkState.DOWN)
+    assert int(twin.state.state_code[link._row]) == before
+    assert twin.link_state(link.id) is LinkState.UP
 
 
-def test_close_is_idempotent_and_parent_still_works():
+def test_a_dropped_fork_is_freed_by_reference_counting():
+    """A twin dropped after a write and a roll leaves nothing behind
+    for the cycle collector: its state goes with its last reference,
+    and the parent carries on."""
     topology, traffic = make_world()
     fabric = topology.fabric
     link = next(iter(fabric.links.values()))
-    twin = TwinWorld.fork(fabric, traffic)
-    child_code_before = int(twin.state.state_code[link._row])
-    twin.close()
-    twin.close()
-    # post-release parent writes are plain ndarray stores: no barrier,
-    # no leak into the (now detached) twin columns
+    driver = TrafficDriver(traffic, window_seconds=60.0,
+                           flows_per_window=50)
+    tracker = SmiTracker(topology)
+    gc.disable()
+    try:
+        twin = TwinWorld.fork(fabric, traffic, driver=driver,
+                              rng=np.random.default_rng(5),
+                              smi_tracker=tracker)
+        twin.set_loss_rate(link.id, 0.5)
+        twin.roll(1)
+        state = weakref.ref(twin.state)
+        del twin
+        assert state() is None
+    finally:
+        gc.enable()
     link.set_state(1.0, LinkState.DOWN)
     assert not link.operational
-    assert int(twin.state.state_code[link._row]) == child_code_before
+    assert fabric.state.loss_rate[link._row] == 0.0
+    tracker.close()
 
 
 # -- mutation vocabulary ------------------------------------------------------
@@ -93,31 +75,31 @@ def test_close_is_idempotent_and_parent_still_works():
 
 def test_set_link_state_matches_flap_semantics():
     topology, traffic = make_world()
-    with TwinWorld.fork(topology.fabric, traffic) as twin:
-        link_id = next(iter(topology.fabric.links))
-        assert twin.set_link_state(link_id, LinkState.DOWN, now=5.0)
-        assert twin.state._flap_len == 1  # real flap, logged
-        assert twin.set_link_state(link_id, LinkState.MAINTENANCE,
-                                   now=6.0)
-        assert twin.state._flap_len == 1  # administrative: not a flap
-        assert not twin.set_link_state(link_id, LinkState.MAINTENANCE)
-        assert twin.link_state(link_id) is LinkState.MAINTENANCE
+    twin = TwinWorld.fork(topology.fabric, traffic)
+    link_id = next(iter(topology.fabric.links))
+    assert twin.set_link_state(link_id, LinkState.DOWN, now=5.0)
+    assert twin.state._flap_len == 1  # real flap, logged
+    assert twin.set_link_state(link_id, LinkState.MAINTENANCE,
+                               now=6.0)
+    assert twin.state._flap_len == 1  # administrative: not a flap
+    assert not twin.set_link_state(link_id, LinkState.MAINTENANCE)
+    assert twin.link_state(link_id) is LinkState.MAINTENANCE
 
 
 def test_repair_link_restores_health_columns():
     topology, traffic = make_world()
-    with TwinWorld.fork(topology.fabric, traffic) as twin:
-        link_id = next(iter(topology.fabric.links))
-        row = twin._row(link_id)
-        twin.set_loss_rate(link_id, 0.7)
-        twin.begin_maintenance(link_id, now=3.0)
-        assert twin.link_state(link_id) is LinkState.MAINTENANCE
-        assert link_id in twin.traffic.drained_links
-        twin.repair_link(link_id, now=4.0)
-        assert twin.link_state(link_id) is LinkState.UP
-        assert twin.state.loss_rate[row] == 0.0
-        assert bool(twin.state.seated[:, row].all())
-        assert link_id not in twin.traffic.drained_links
+    twin = TwinWorld.fork(topology.fabric, traffic)
+    link_id = next(iter(topology.fabric.links))
+    row = twin._row(link_id)
+    twin.set_loss_rate(link_id, 0.7)
+    twin.begin_maintenance(link_id, now=3.0)
+    assert twin.link_state(link_id) is LinkState.MAINTENANCE
+    assert link_id in twin.traffic.drained_links
+    twin.repair_link(link_id, now=4.0)
+    assert twin.link_state(link_id) is LinkState.UP
+    assert twin.state.loss_rate[row] == 0.0
+    assert bool(twin.state.seated[:, row].all())
+    assert link_id not in twin.traffic.drained_links
     # the live world never saw any of it
     fs = topology.fabric.state
     assert fs.loss_rate[fs.index_of[link_id]] == 0.0
@@ -131,10 +113,9 @@ def test_replace_transceiver_moves_smi_uniformity():
     link = next(iter(topology.fabric.links.values()))
     new_model = topology.fabric.model_catalog[0].model_id
     old_model = link.transceiver_at("a").model.model_id
-    with TwinWorld.fork(topology.fabric,
-                        smi_tracker=tracker) as twin:
-        twin.replace_transceiver(link.id, "a", model_id=new_model)
-        predicted = twin.smi_tracker.report()
+    twin = TwinWorld.fork(topology.fabric, smi_tracker=tracker)
+    twin.replace_transceiver(link.id, "a", model_id=new_model)
+    predicted = twin.smi_tracker.report()
     # the live tracker is untouched by the twin's swap
     assert tracker.report().factors == live_before.factors
     if new_model != old_model:
@@ -157,11 +138,10 @@ def test_replace_cable_moves_smi_serviceability():
     tracker = SmiTracker(topology)
     link = next(iter(topology.fabric.links.values()))
     target = not bool(link.cable.cleanable)
-    with TwinWorld.fork(topology.fabric,
-                        smi_tracker=tracker) as twin:
-        before = twin.smi_tracker.report().factors["serviceability"]
-        twin.replace_cable(link.id, cleanable=target)
-        after = twin.smi_tracker.report().factors["serviceability"]
+    twin = TwinWorld.fork(topology.fabric, smi_tracker=tracker)
+    before = twin.smi_tracker.report().factors["serviceability"]
+    twin.replace_cable(link.id, cleanable=target)
+    after = twin.smi_tracker.report().factors["serviceability"]
     n = len(topology.fabric.links)
     assert after - before == pytest.approx(
         (1 if target else -1) / n, abs=1e-12)
@@ -175,16 +155,16 @@ def test_replace_cable_moves_smi_serviceability():
 
 def test_offer_window_without_traffic_raises():
     topology, _ = make_world(traffic=False)
-    with TwinWorld.fork(topology.fabric) as twin:
-        with pytest.raises(RuntimeError, match="no traffic"):
-            twin.offer_window()
+    twin = TwinWorld.fork(topology.fabric)
+    with pytest.raises(RuntimeError, match="no traffic"):
+        twin.offer_window()
 
 
 def test_predicted_smi_without_tracker_raises():
     topology, traffic = make_world()
-    with TwinWorld.fork(topology.fabric, traffic) as twin:
-        with pytest.raises(RuntimeError, match="SmiTracker"):
-            twin.predicted_smi()
+    twin = TwinWorld.fork(topology.fabric, traffic)
+    with pytest.raises(RuntimeError, match="SmiTracker"):
+        twin.predicted_smi()
 
 
 def test_fork_inherits_driver_parameters():
@@ -209,10 +189,10 @@ def test_fork_inherits_driver_parameters():
         return topology, traffic, driver
 
     topology, traffic, driver = build()
-    with TwinWorld.fork(topology.fabric, traffic, driver=driver,
-                        rng=RandomStreams(4).stream("twin"),
-                        now=600.0) as twin:
-        results = twin.roll(3)
+    twin = TwinWorld.fork(topology.fabric, traffic, driver=driver,
+                          rng=RandomStreams(4).stream("twin"),
+                          now=600.0)
+    results = twin.roll(3)
     assert twin.now == 600.0 + 3 * 600.0
     # twin rolls never advanced the live driver or its matrix log
     assert len(driver.windows) == 1
@@ -238,17 +218,17 @@ def test_roll_leaves_live_utilization_untouched():
     live_before = traffic.util_bytes.values[:n].copy()
     driver = TrafficDriver(traffic, window_seconds=60.0,
                            flows_per_window=200)
-    with TwinWorld.fork(topology.fabric, traffic, driver=driver,
-                        rng=RandomStreams(99).stream("twin")) as twin:
-        twin.roll(2)
-        assert float(twin.traffic.util_bytes.values[:n].sum()) > 0
+    twin = TwinWorld.fork(topology.fabric, traffic, driver=driver,
+                          rng=RandomStreams(99).stream("twin"))
+    twin.roll(2)
+    assert float(twin.traffic.util_bytes.values[:n].sum()) > 0
     assert np.array_equal(traffic.util_bytes.values[:n], live_before)
 
 
 def test_p99_fct_empty_is_nan():
     topology, traffic = make_world()
-    with TwinWorld.fork(topology.fabric, traffic) as twin:
-        assert np.isnan(twin.p99_fct())
+    twin = TwinWorld.fork(topology.fabric, traffic)
+    assert np.isnan(twin.p99_fct())
 
 
 def test_maintenance_windows_are_flagged():
@@ -256,12 +236,12 @@ def test_maintenance_windows_are_flagged():
     link_id = next(iter(topology.fabric.links))
     driver = TrafficDriver(traffic, window_seconds=60.0,
                            flows_per_window=100)
-    with TwinWorld.fork(topology.fabric, traffic, driver=driver,
-                        rng=np.random.default_rng(5)) as twin:
-        twin.roll(1)
-        twin.begin_maintenance(link_id)
-        twin.roll(1)
-        twin.repair_link(link_id)
-        twin.roll(1)
-        flags = [w.maintenance_active for w in twin.driver.windows]
+    twin = TwinWorld.fork(topology.fabric, traffic, driver=driver,
+                          rng=np.random.default_rng(5))
+    twin.roll(1)
+    twin.begin_maintenance(link_id)
+    twin.roll(1)
+    twin.repair_link(link_id)
+    twin.roll(1)
+    flags = [w.maintenance_active for w in twin.driver.windows]
     assert flags == [False, True, False]

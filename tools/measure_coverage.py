@@ -43,6 +43,7 @@ TARGETS = ("src/dcrobot/core", "src/dcrobot/chaos",
            "src/dcrobot/telemetry/detectors.py",
            "src/dcrobot/telemetry/monitor.py",
            "src/dcrobot/metrics/mttr.py",
+           "src/dcrobot/metrics/report.py",
            "src/dcrobot/sim/batch.py")
 
 

@@ -99,9 +99,10 @@ class HealthModel:
     chaos hall 3 of 32 rows are live per tick on average, and 6% of
     ticks find none.
 
-    Each loss write is told to the fabric state's row-change feed
+    Each loss change is told to the fabric state's row-change feed
     (code writes go through ``set_state``, which tells it too): the
-    kernel on one row and the live pass note each row they write, and
+    kernel on one row notes its row, the live pass notes each row whose
+    loss it moved (most of its rewrites leave the loss as it was), and
     a full pass asks every consumer to rescan.
     """
 
@@ -394,8 +395,10 @@ class HealthModel:
         links_by_row = state.links_by_row
         note_row = state.note_row
         for row, score in scored:
-            code, loss[row], bad[row] = self._step(score, bad[row], draws,
-                                                   stress)
-            note_row(row)
+            code, new_loss, bad[row] = self._step(score, bad[row], draws,
+                                                  stress)
+            if new_loss != loss[row]:
+                loss[row] = new_loss
+                note_row(row)
             if code != codes[row]:
                 links_by_row[row].set_state(now, STATE_OF[code])

@@ -24,7 +24,16 @@ IMPAIRMENT_THRESHOLD = 0.25
 
 
 class EndFace:
-    """One polished fiber end-face with ``core_count`` cores."""
+    """One polished fiber end-face with ``core_count`` cores.
+
+    While the face is a cable end on a wired link, its per-core levels
+    live in the fabric state's ``cable_end_cores`` column (binding
+    copies them in, unbinding copies them out), so the dust kernel
+    deposits on every face in one vector pass;
+    :attr:`contamination` is then a view of the face's cores in that
+    column.  A receptacle, or a face on no wired link, keeps its own
+    array.
+    """
 
     def __init__(self, core_count: int = 1,
                  polish: EndFacePolish = EndFacePolish.UPC,
@@ -35,17 +44,39 @@ class EndFace:
             raise ValueError("initial_contamination outside [0, 1]")
         self.core_count = core_count
         self.polish = polish
-        self.contamination = np.full(core_count, float(initial_contamination))
+        #: The per-core levels while no cable row holds them (None while
+        #: one does).
+        self._contamination = np.full(core_count,
+                                      float(initial_contamination))
         self.scratched = np.zeros(core_count, dtype=bool)
         #: Columnar binding while this face is on a wired link:
-        #: ``(FabricState, "cable"|"recept", side)``.  Mutators keep the
-        #: per-link worst-contamination and scratch columns current for
-        #: the batch kernels: a per-core deposit can only raise the
-        #: worst core, so it writes the column through; every other
-        #: mutator recomputes both via :meth:`_push_mirror`.  Both bump
-        #: the state's ``input_writes`` when they write.
+        #: ``(FabricState, "cable"|"recept", side)``.  A cable end's
+        #: cores are read and written in ``cable_end_cores``.  Mutators
+        #: keep the per-link worst-contamination and scratch columns
+        #: current for the batch kernels: a per-core deposit can only
+        #: raise the worst core, so it writes the column through; every
+        #: other mutator recomputes both via :meth:`_push_mirror`.  Both
+        #: bump the state's ``input_writes`` when they write.
         self._mirror = None
         self._row = -1
+
+    @property
+    def contamination(self) -> np.ndarray:
+        """Per-core contamination levels in [0, 1]."""
+        mirror = self._mirror
+        if mirror is not None and mirror[1] == "cable":
+            return mirror[0].cable_end_cores[mirror[2], :self.core_count,
+                                             self._row]
+        return self._contamination
+
+    @contamination.setter
+    def contamination(self, levels: np.ndarray) -> None:
+        mirror = self._mirror
+        if mirror is not None and mirror[1] == "cable":
+            mirror[0].cable_end_cores[mirror[2], :self.core_count,
+                                      self._row] = levels
+        else:
+            self._contamination = levels
 
     def _push_mirror(self) -> None:
         mirror = self._mirror

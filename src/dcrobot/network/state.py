@@ -21,10 +21,13 @@ Design rules:
   chaos, journal, and obs layers touch.  While a link is wired into a
   fabric its components are *bound* to a row here: sparse writes
   (a robot unseating a unit, the injector damaging a cable) mirror
-  through property setters, and the two dense-kernel-written fields
-  (``Link.loss_rate``, ``Transceiver.oxidation``) read straight from
-  the arrays.  Unbound objects (spares, unit-test fixtures) behave
-  exactly as before on plain attributes.
+  through property setters, and the three dense-kernel-written fields
+  (``Link.loss_rate``, ``Transceiver.oxidation``, and a cable
+  ``EndFace.contamination``, the per-core levels the dust kernel
+  deposits on) read straight from the arrays.  Binding copies a
+  face's cores into ``cable_end_cores`` and unbinding copies them
+  back out.  Unbound objects (spares, receptacles, unit-test
+  fixtures) behave exactly as before on plain attributes.
 * **Dense rows, immortal lids.**  Rows are kept dense with
   swap-with-last removal so kernels slice ``[:n_links]`` without
   masks.  Each binding also gets a monotonically increasing *lid*
@@ -37,13 +40,14 @@ Design rules:
   it and keeps per-lid counts over an open window, so a poll visits
   each event twice (when it enters, when it leaves), however long the
   event stays in the window.
-* **A row-change feed.**  Every writer of a bound row's state code,
-  down-since time or loss rate records the row (``on_transition``,
-  the ``Link.loss_rate`` setter, the health kernel); a consumer asks
-  :meth:`FabricState.row_changes` for the rows written since its last
-  call, or is told to rescan.  The telemetry poll and the safety
-  monitor's orphan audit keep their row sets from it instead of
-  re-deriving them from whole columns on every call.
+* **A row-change feed.**  Every writer that moves a bound row's state
+  code, down-since time or loss rate records the row
+  (``on_transition``, the ``Link.loss_rate`` setter, the health
+  kernel); a consumer asks :meth:`FabricState.row_changes` for the
+  rows moved since its last call, or is told to rescan.  The
+  telemetry poll and the safety monitor's orphan audit keep their row
+  sets from it instead of re-deriving them from whole columns on every
+  call.
 * **Forks by copying.**  :meth:`FabricState.fork` snapshots the whole
   store with one ``ndarray.copy()`` per column and copies of the row
   maps, so a fork and its parent share no buffer and a dropped fork is
@@ -72,26 +76,31 @@ UP_CODE, FLAPPING_CODE, DOWN_CODE, MAINTENANCE_CODE = range(4)
 _INITIAL_CAPACITY = 64
 _FLAP_LOG_CAPACITY = 1024
 
-#: (attribute, default, dtype, per_side) for every managed column.
-#: ``per_side`` columns have shape (2, capacity): row 0 = the "a" end.
+#: (attribute, default, dtype, lead) for every managed column: its
+#: shape is ``lead + (capacity,)``, so the row axis is always last.
+#: ``(2,)`` columns are per side (index 0 = the "a" end);
+#: ``cable_end_cores`` holds each bound cable end's per-core
+#: contamination, (2, cores, capacity), and widens to the widest face
+#: bound so far (:meth:`FabricState._bind_cable`).
 _SPEC = (
-    ("state_code", 0, np.int8, False),
-    ("loss_rate", 0.0, np.float64, False),
-    ("down_since", np.nan, np.float64, False),
-    ("last_change", 0.0, np.float64, False),
-    ("uptime_accum", 0.0, np.float64, False),
-    ("cable_damaged", False, np.bool_, False),
-    ("cleanable", False, np.bool_, False),
-    ("lid_of_row", 0, np.int64, False),
-    ("ox", 0.0, np.float64, True),
-    ("seated", True, np.bool_, True),
-    ("unit_hw_fault", False, np.bool_, True),
-    ("unit_fw_stuck", False, np.bool_, True),
-    ("port_hw_fault", False, np.bool_, True),
-    ("cable_attached", True, np.bool_, True),
-    ("cable_end_worst", 0.0, np.float64, True),
-    ("cable_end_scratched", False, np.bool_, True),
-    ("recept_worst", 0.0, np.float64, True),
+    ("state_code", 0, np.int8, ()),
+    ("loss_rate", 0.0, np.float64, ()),
+    ("down_since", np.nan, np.float64, ()),
+    ("last_change", 0.0, np.float64, ()),
+    ("uptime_accum", 0.0, np.float64, ()),
+    ("cable_damaged", False, np.bool_, ()),
+    ("cleanable", False, np.bool_, ()),
+    ("lid_of_row", 0, np.int64, ()),
+    ("ox", 0.0, np.float64, (2,)),
+    ("seated", True, np.bool_, (2,)),
+    ("unit_hw_fault", False, np.bool_, (2,)),
+    ("unit_fw_stuck", False, np.bool_, (2,)),
+    ("port_hw_fault", False, np.bool_, (2,)),
+    ("cable_attached", True, np.bool_, (2,)),
+    ("cable_end_worst", 0.0, np.float64, (2,)),
+    ("cable_end_scratched", False, np.bool_, (2,)),
+    ("cable_end_cores", 0.0, np.float64, (2, 1)),
+    ("recept_worst", 0.0, np.float64, (2,)),
 )
 
 
@@ -156,9 +165,9 @@ class FabricState:
         self.links_by_row: List = []
         self.index_of: Dict[str, int] = {}
         self._row_of_lid: List[int] = []
-        for name, default, dtype, per_side in _SPEC:
-            shape = (2, self._capacity) if per_side else self._capacity
-            setattr(self, name, np.full(shape, default, dtype=dtype))
+        for name, default, dtype, lead in _SPEC:
+            setattr(self, name,
+                    np.full(lead + (self._capacity,), default, dtype=dtype))
         self._columns: List[LinkColumn] = []
         self._flap_times = np.zeros(_FLAP_LOG_CAPACITY)
         self._flap_lids = np.zeros(_FLAP_LOG_CAPACITY, dtype=np.int64)
@@ -244,10 +253,11 @@ class FabricState:
     def _grow(self) -> None:
         new_capacity = self._capacity * 2
         n = self.n_links
-        for name, default, dtype, per_side in _SPEC:
-            shape = (2, new_capacity) if per_side else new_capacity
-            fresh = np.full(shape, default, dtype=dtype)
-            fresh[..., :n] = getattr(self, name)[..., :n]
+        for name, default, dtype, _lead in _SPEC:
+            old = getattr(self, name)
+            fresh = np.full(old.shape[:-1] + (new_capacity,), default,
+                            dtype=dtype)
+            fresh[..., :n] = old[..., :n]
             setattr(self, name, fresh)
         for column in self._columns:
             fresh = np.full(new_capacity, column.fill,
@@ -257,13 +267,13 @@ class FabricState:
         self._capacity = new_capacity
 
     def _reset_row(self, row: int) -> None:
-        for name, default, _dtype, _per_side in _SPEC:
+        for name, default, _dtype, _lead in _SPEC:
             getattr(self, name)[..., row] = default
         for column in self._columns:
             column.values[row] = column.fill
 
     def _copy_row(self, src: int, dst: int) -> None:
-        for name, _default, _dtype, _per_side in _SPEC:
+        for name, _default, _dtype, _lead in _SPEC:
             array = getattr(self, name)
             array[..., dst] = array[..., src]
         for column in self._columns:
@@ -360,6 +370,8 @@ class FabricState:
             unit.receptacle._row = -1
 
     def _bind_cable(self, row: int, cable) -> None:
+        """Bind a cable whose row's end-face cores are all zero, copying
+        each face's cores in (the face reads them here from now on)."""
         self.cable_damaged[row] = cable._damaged
         self.cable_attached[0, row] = cable._attached_a
         self.cable_attached[1, row] = cable._attached_b
@@ -368,15 +380,26 @@ class FabricState:
         cable._row = row
         for side, end in enumerate((cable.end_a, cable.end_b)):
             if end is not None:
+                cores = end.core_count
+                if cores > self.cable_end_cores.shape[1]:
+                    wider = np.zeros((2, cores, self._capacity))
+                    wider[:, :self.cable_end_cores.shape[1]] = \
+                        self.cable_end_cores
+                    self.cable_end_cores = wider
+                self.cable_end_cores[side, :cores, row] = \
+                    end._contamination
+                end._contamination = None
                 end._mirror = (self, "cable", side)
                 end._row = row
                 end._push_mirror()
 
     def _unbind_cable(self, cable) -> None:
+        """Copy each face's cores back out and unbind the cable."""
         cable._fs = None
         cable._row = -1
         for end in (cable.end_a, cable.end_b):
             if end is not None:
+                end._contamination = end.contamination.copy()
                 end._mirror = None
                 end._row = -1
 
@@ -454,6 +477,7 @@ class FabricState:
         self._unbind_cable(old)
         self.cable_end_worst[:, row] = 0.0
         self.cable_end_scratched[:, row] = False
+        self.cable_end_cores[..., row] = 0.0
         self._bind_cable(row, new)
         self.generation += 1
         self.route_generation += 1
@@ -487,8 +511,8 @@ class FabricState:
     # -- the row-change feed --------------------------------------------------
 
     def note_row(self, row: int) -> None:
-        """Record a write of ``row``'s state code, down-since time or
-        loss rate (see :meth:`row_changes`)."""
+        """Record that ``row``'s state code, down-since time or loss
+        rate moved (see :meth:`row_changes`)."""
         log = self._row_log
         log.append(row)
         if len(log) > self.n_links:
@@ -501,13 +525,16 @@ class FabricState:
 
     def row_changes(self, cursor: Optional[tuple]
                     ) -> Tuple[Optional[List[int]], tuple]:
-        """The rows written since ``cursor``, and the cursor to pass next.
+        """The rows moved since ``cursor``, and the cursor to pass next.
 
         The rows (with repeats, in write order) are every row whose
-        state code, down-since time or loss rate was written since the
-        call that returned ``cursor``: by :meth:`on_transition` (every
-        bound ``Link.set_state``), the ``Link.loss_rate`` setter, and
-        the health kernel on one row or on the live rows.  ``None``
+        state code, down-since time or loss rate moved since the call
+        that returned ``cursor``: by :meth:`on_transition` (every bound
+        ``Link.set_state``), the ``Link.loss_rate`` setter, the health
+        kernel on one row, and its live pass where it moved a loss.  A
+        writer may also report a row it rewrote to the same values
+        (the setter and the one-row kernel do); a consumer re-tests a
+        reported row, so that costs only the re-test.  ``None``
         instead asks the consumer to rescan every row: on its first
         call (``cursor=None``), after a structural change, after
         :meth:`note_all_rows` (the health kernel's full pass), and once

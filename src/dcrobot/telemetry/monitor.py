@@ -184,7 +184,7 @@ class TelemetryMonitor:
         The watch set holds every row that is DOWN or carrying with
         loss above the threshold.  It stays exact because the state's
         row-change feed reports every row whose code, down-since time
-        or loss was written since the last poll; those rows alone are
+        or loss moved since the last poll; those rows alone are
         re-tested, and a rescan (a structural change, a full health
         pass, an overgrown log) rebuilds the set in one vector pass.
         Every other link is provably a no-op in :meth:`_scan`.

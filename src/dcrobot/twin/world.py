@@ -175,6 +175,7 @@ class TwinWorld:
         fs.port_hw_fault[:, row] = False
         fs.cable_attached[:, row] = True
         fs.cable_end_worst[:, row] = 0.0
+        fs.cable_end_cores[..., row] = 0.0
         fs.cable_end_scratched[:, row] = False
         fs.recept_worst[:, row] = 0.0
         fs.input_writes += 1
@@ -211,6 +212,7 @@ class TwinWorld:
         fs = self.state
         fs.cable_damaged[row] = False
         fs.cable_end_worst[:, row] = 0.0
+        fs.cable_end_cores[..., row] = 0.0
         fs.cable_end_scratched[:, row] = False
         fs.cable_attached[:, row] = True
         fs.input_writes += 1

@@ -6,13 +6,25 @@ mutator recomputes.  Random call sequences on bound faces must keep
 ``cable_end_worst``, ``cable_end_scratched`` and ``recept_worst``
 exactly equal to the ``EndFace`` arrays, and a deposit on the parent
 after a :meth:`FabricState.fork` must leave the fork's columns alone.
+
+A bound cable end's per-core levels live in ``cable_end_cores``: the
+binding tests below hold that column to the faces through bind, unbind,
+the swap-with-last of a disconnect, a cable swap, a fork, a wider face,
+and every whole-face mutator.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dcrobot.network import CableKind, Fabric, HallLayout, SwitchRole
+from dcrobot.network import (
+    Cable,
+    CableKind,
+    EndFace,
+    Fabric,
+    HallLayout,
+    SwitchRole,
+)
 
 COLUMNS = ("cable_end_worst", "cable_end_scratched", "recept_worst")
 
@@ -122,3 +134,120 @@ def test_parent_deposit_after_fork_leaves_fork_column():
     assert fabric.state.recept_worst[1, link._row] == 0.2
     assert child.cable_end_worst[0, link._row] == 0.0
     assert child.recept_worst[1, link._row] == 0.0
+
+
+def cores_of(state, link, side):
+    """The face's cores as the state's column holds them."""
+    face = (link.cable.end_a, link.cable.end_b)[side]
+    return state.cable_end_cores[side, :face.core_count, link._row]
+
+
+def dirty_cable(cable_id, cores, seed):
+    """An unbound MPO cable with distinct levels on every core."""
+    cable = Cable(cable_id, CableKind.MPO, 5.0, core_count=cores)
+    rng = np.random.default_rng(seed)
+    for face in (cable.end_a, cable.end_b):
+        face.contamination = rng.uniform(0.01, 0.2, size=cores)
+    return cable
+
+
+def test_bind_and_unbind_round_trip_every_core():
+    fabric = make_fabric(0, links=1)
+    state = fabric.state
+    link = next(iter(fabric.links.values()))
+    cable = dirty_cable("spare", 4, seed=1)
+    levels = [cable.end_a.contamination.copy(),
+              cable.end_b.contamination.copy()]
+    old = link.replace_cable(cable)
+    for side in (0, 1):
+        assert np.array_equal(cores_of(state, link, side), levels[side])
+    cable.end_a.add_contamination(0.5, cores=[3])
+    levels[0][3] += 0.5
+    assert state.cable_end_cores[0, 3, link._row] == levels[0][3]
+    # Swapping it back out copies its cores back to the face...
+    link.replace_cable(old)
+    for side, face in enumerate((cable.end_a, cable.end_b)):
+        assert np.array_equal(face.contamination, levels[side])
+    # ...which no longer reads the column.
+    state.cable_end_cores[0, 3, link._row] = 0.9
+    assert cable.end_a.contamination[3] == levels[0][3]
+
+
+def test_disconnect_carries_the_moved_cables_cores():
+    fabric = make_fabric(0, links=3)
+    state = fabric.state
+    first, _middle, last = fabric.links.values()
+    last.cable.end_b.add_contamination(0.3, cores=[2])
+    last.cable.end_a.add_contamination(0.1)
+    levels = [last.cable.end_a.contamination.copy(),
+              last.cable.end_b.contamination.copy()]
+    row = first._row
+    fabric.disconnect(first.id)
+    assert last._row == row
+    for side, face in enumerate((last.cable.end_a, last.cable.end_b)):
+        assert np.array_equal(face.contamination, levels[side])
+        assert np.array_equal(cores_of(state, last, side), levels[side])
+    assert_columns_match_faces(fabric)
+
+
+def test_a_cable_swap_zeroes_the_row_before_the_new_cores():
+    fabric = make_fabric(0, links=1)
+    state = fabric.state
+    link = next(iter(fabric.links.values()))
+    link.replace_cable(dirty_cable("wide", 12, seed=2))
+    narrow = dirty_cable("narrow", 4, seed=3)
+    levels = narrow.end_b.contamination.copy()
+    link.replace_cable(narrow)
+    assert not state.cable_end_cores[:, 4:, link._row].any()
+    assert np.array_equal(cores_of(state, link, 1), levels)
+    assert_columns_match_faces(fabric)
+
+
+def test_a_fork_copies_the_core_column():
+    fabric = make_fabric(0, links=1)
+    state = fabric.state
+    link = next(iter(fabric.links.values()))
+    link.cable.end_a.add_contamination(0.2, cores=[1])
+    child = state.fork()
+    assert np.array_equal(child.cable_end_cores, state.cable_end_cores)
+    link.cable.end_a.add_contamination(0.3, cores=[1])
+    assert child.cable_end_cores[0, 1, link._row] == 0.2
+    child.cable_end_cores[1, 0, link._row] = 0.7
+    assert link.cable.end_b.contamination[0] == 0.0
+
+
+def test_binding_a_wider_face_widens_the_column():
+    fabric = make_fabric(0, links=2)
+    state = fabric.state
+    first, second = fabric.links.values()
+    assert state.cable_end_cores.shape[1] == 4
+    first.cable.end_a.add_contamination(0.4, cores=[3])
+    wide = dirty_cable("wide", 12, seed=4)
+    levels = wide.end_a.contamination.copy()
+    second.replace_cable(wide)
+    assert state.cable_end_cores.shape == (2, 12, state._capacity)
+    assert first.cable.end_a.contamination[3] == 0.4
+    assert np.array_equal(cores_of(state, second, 0), levels)
+    assert_columns_match_faces(fabric)
+
+
+def test_whole_face_mutators_write_through():
+    """``clean`` (both branches), ``replace`` and an all-core deposit
+    on a bound face give the levels they give an unbound one."""
+    fabric = make_fabric(0, links=1)
+    state = fabric.state
+    link = next(iter(fabric.links.values()))
+    bound = link.cable.end_a
+    loose = EndFace(bound.core_count, bound.polish)
+    steps = (lambda face, rng: face.add_contamination(0.05, cores=[0, 2]),
+             lambda face, rng: face.add_contamination(0.3),
+             lambda face, rng: face.clean(rng, smear_probability=0.0),
+             lambda face, rng: face.add_contamination(0.6),
+             lambda face, rng: face.clean(rng, smear_probability=1.0),
+             lambda face, rng: face.replace())
+    rngs = np.random.default_rng(7), np.random.default_rng(7)
+    for step in steps:
+        step(bound, rngs[0])
+        step(loose, rngs[1])
+        assert np.array_equal(cores_of(state, link, 0), loose.contamination)
+        assert_columns_match_faces(fabric)

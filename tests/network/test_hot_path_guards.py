@@ -3,9 +3,11 @@
 Costs that once grew with fabric size, or with run length, are pinned
 here by counting, not by timing:
 
-* a dust tick deposits one core per end-face, which can only raise the
-  worst core, so it writes the column through and never re-reduces a
-  face via ``EndFace._push_mirror``;
+* a dust tick deposits on every end-face in one vector pass over the
+  state's core column, never through ``EndFace.add_contamination`` or
+  a face re-reduction (``EndFace._push_mirror``), and a steady tick
+  (every factor sampled) draws one raw block and calls neither
+  ``uniform`` nor ``integers``;
 * bundle neighbours resolve cable→link through the columnar binding,
   so no lookup ever iterates ``fabric.links``;
 * a health tick with no health-input write since the previous score
@@ -63,22 +65,51 @@ def fabric():
     return build_fattree(k=8, rng=np.random.default_rng(3)).fabric
 
 
+class _CountingPCG64(np.random.PCG64):
+    """PCG64 that counts its ``random_raw`` calls."""
+
+    def random_raw(self, size=None, output=True):
+        self.calls["random_raw"] += 1
+        return super().random_raw(size, output)
+
+
+class _CountingGenerator(np.random.Generator):
+    """A generator that counts its scalar-draw calls."""
+
+    def uniform(self, *args, **kwargs):
+        self.calls["uniform"] += 1
+        return super().uniform(*args, **kwargs)
+
+    def integers(self, *args, **kwargs):
+        self.calls["integers"] += 1
+        return super().integers(*args, **kwargs)
+
+
 def test_dust_step_makes_no_full_face_reductions(fabric, monkeypatch):
     state = fabric.state
     assert state.cleanable[:state.n_links].any()
-    dust = DustProcess(fabric, rng=np.random.default_rng(5))
+    bit_generator = _CountingPCG64(5)
+    rng = _CountingGenerator(bit_generator)
+    calls = bit_generator.calls = rng.calls = Counter()
+    dust = DustProcess(fabric, rng=rng)
     before = state.cable_end_worst[:, :state.n_links].copy()
-    calls = []
-    push_mirror = EndFace._push_mirror
 
-    def counting(self):
-        calls.append(self)
-        return push_mirror(self)
+    def counting(name):
+        method = getattr(EndFace, name)
 
-    monkeypatch.setattr(EndFace, "_push_mirror", counting)
-    dust.step_all(0.0)
-    assert calls == []
+        def counted(self, *args, **kwargs):
+            calls[name] += 1
+            return method(self, *args, **kwargs)
+        return counted
+
+    for name in ("_push_mirror", "add_contamination"):
+        monkeypatch.setattr(EndFace, name, counting(name))
+    dust.step_all(0.0)  # samples every factor by the generator's calls
+    assert calls["_push_mirror"] == calls["add_contamination"] == 0
     assert (state.cable_end_worst[:, :state.n_links] > before).any()
+    calls.clear()
+    dust.step_all(dust.tick_seconds)
+    assert calls == Counter(random_raw=1)
 
 
 class _NoScanDict(dict):

@@ -31,11 +31,25 @@ def _changes(state, cursor):
     return (None if rows is None else set(rows)), cursor
 
 
+class _Draws:
+    """Scripted Gilbert-Elliott draws: ``random(n)`` returns the next
+    ``n`` of ``values``."""
+
+    def __init__(self, values):
+        self.values = list(values)
+
+    def random(self, n):
+        drawn, self.values = self.values[:n], self.values[n:]
+        return np.array(drawn)
+
+
 def test_every_writer_reports_its_row(fabric):
     state = fabric.state
     links = list(fabric.links.values())
+    # Row 0 is the one marginal row: 0.99 keeps it in the good phase,
+    # 0.0 starts a bad episode.
     health = HealthModel(fabric, Environment(),
-                         rng=np.random.default_rng(5))
+                         rng=_Draws([0.99, 0.99, 0.0]))
     links[0].transceiver_a.oxidation = 0.6  # a live, marginal row
     rows, cursor = _changes(state, None)
     assert rows is None  # a first call rescans
@@ -58,8 +72,15 @@ def test_every_writer_reports_its_row(fabric):
     health.tick_all(60.0)
     rows, cursor = _changes(state, cursor)
     assert rows is None
-    # A live pass reports the live rows it wrote.
+    # A live pass that rewrites row 0's loss to the same value reports
+    # nothing; one whose phase flip moves the loss reports row 0.
+    loss = state.loss_rate[row(0)]
     health.tick_all(120.0)
+    assert state.loss_rate[row(0)] == loss
+    rows, cursor = _changes(state, cursor)
+    assert rows == set()
+    health.tick_all(180.0)
+    assert state.loss_rate[row(0)] == 1.0
     rows, cursor = _changes(state, cursor)
     assert rows == {row(0)}
     # A structural change asks for a rescan.

@@ -20,8 +20,6 @@ import enum
 from collections import Counter
 from typing import List, Optional, Sequence, Tuple
 
-import networkx as nx
-
 from dcrobot.network.inventory import Fabric
 from dcrobot.sim.engine import Simulation
 from dcrobot.sim.events import Event
@@ -86,7 +84,13 @@ def plan_rewiring(fabric: Fabric,
       addition runs first;
     * with ``protect_connectivity``, removals that would disconnect the
       current graph are deferred while any alternative step exists.
+
+    The connectivity checks run on a networkx graph; networkx is
+    imported on call, so a world that never plans a rewiring never
+    loads it.
     """
+    import networkx as nx
+
     current: Counter = Counter()
     links_by_pair = {}
     for link in fabric.links.values():

@@ -8,9 +8,8 @@ component state inside it, telemetry reads it, and maintenance executors
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
 
-import networkx as nx
 import numpy as np
 
 from dcrobot.network.bundles import BundleRegistry, CableBundle
@@ -31,6 +30,9 @@ from dcrobot.network.transceiver import (
     TransceiverModel,
     generate_model_catalog,
 )
+
+if TYPE_CHECKING:  # pragma: no cover
+    import networkx as nx
 
 #: Extra cable length over straight-line rack distance (routing slack).
 CABLE_SLACK_FACTOR = 1.4
@@ -305,7 +307,14 @@ class Fabric:
         return neighbors
 
     def graph(self, operational_only: bool = False) -> nx.MultiGraph:
-        """The fabric as a multigraph (nodes = switches/hosts)."""
+        """The fabric as a multigraph (nodes = switches/hosts).
+
+        networkx is imported here, not with this module: building,
+        running, sharding or serving a world never asks for a graph,
+        so those processes never load it.
+        """
+        import networkx as nx
+
         graph = nx.MultiGraph()
         graph.add_nodes_from(self.switches)
         graph.add_nodes_from(self.hosts)

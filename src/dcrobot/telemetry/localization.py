@@ -65,6 +65,8 @@ class ProbeLocalizer:
         self.router = router or EcmpRouter(fabric)
         self.rng = rng if rng is not None else np.random.default_rng(0)
         self.loss_failure_threshold = loss_failure_threshold
+        self._graph = None
+        self._graph_key = None
 
     # -- probing ---------------------------------------------------------------
 
@@ -98,7 +100,7 @@ class ProbeLocalizer:
 
         import networkx as nx
 
-        graph = self.fabric.graph()  # full view, sick links included
+        graph = self._full_graph()
         try:
             paths = list(itertools.islice(
                 nx.all_shortest_paths(graph, src, dst), 8))
@@ -107,6 +109,21 @@ class ProbeLocalizer:
         if not paths:
             return None
         return paths[flow_hash % len(paths)]
+
+    def _full_graph(self):
+        """The full-view graph (sick links included), built once per
+        fabric structure rather than once per probe.  It ignores link
+        state, so only a structural change rebuilds it: a link added,
+        removed or rebound moves ``generation``, and a switch or host
+        added moves the node counts (``add_switch`` and ``add_host``
+        bind no row, so they leave ``generation`` alone)."""
+        fabric = self.fabric
+        key = (fabric.state.generation, len(fabric.switches),
+               len(fabric.hosts))
+        if key != self._graph_key:
+            self._graph = fabric.graph()
+            self._graph_key = key
+        return self._graph
 
     def _links_for(self, path_nodes: List[str],
                    flow_hash: int) -> Optional[List[Link]]:

@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import dataclasses
 from collections import defaultdict
-from typing import Dict, List, Optional
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from dcrobot.network.inventory import Fabric
 from dcrobot.network.switchgear import SwitchRole
+
+if TYPE_CHECKING:  # pragma: no cover
+    import networkx as nx
 
 
 @dataclasses.dataclass
@@ -63,7 +64,12 @@ class Topology:
         return self.fabric.graph(operational_only=operational_only)
 
     def is_connected(self, operational_only: bool = False) -> bool:
-        """Whether the (operational) fabric is one connected component."""
+        """Whether the (operational) fabric is one connected component.
+
+        Builds :meth:`Fabric.graph` and imports networkx on call.
+        """
+        import networkx as nx
+
         graph = self.graph(operational_only=operational_only)
         if graph.number_of_nodes() == 0:
             return True

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-import networkx as nx
 import numpy as np
 
 from dcrobot.network.enums import FormFactor
@@ -28,8 +27,12 @@ def build_jellyfish(switches: int = 20, degree: int = 4,
     """Build a Jellyfish fabric: ``switches`` nodes of uniform ``degree``.
 
     ``switches * degree`` must be even (handshake lemma); the random
-    regular graph is drawn via networkx, seeded from ``rng``.
+    regular graph is drawn via networkx, seeded from ``rng``.  No
+    other topology needs networkx, so it is imported here, on call,
+    and worlds wired any other way never load it.
     """
+    import networkx as nx
+
     if switches < 2:
         raise ValueError(f"need >= 2 switches, got {switches}")
     if not 0 < degree < switches:

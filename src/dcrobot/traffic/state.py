@@ -20,12 +20,13 @@ Four structural ideas make it fast without changing the physics:
   and endpoint members are substituted in, collapsing the per-pair
   cache of the object router to a per-class-pair cache.
 * **Content-keyed routing memo.**  Paths depend only on the usable
-  simple adjacency, so the CSR adjacency, twin classes and class-pair
-  interiors are memoised by the adjacency's edge set rather than
-  discarded whenever ``FabricState.route_generation`` or the drain
-  epoch moves.  A drain/undrain or repair that returns to a known
-  adjacency re-enumerates nothing, and twin forks share the memo with
-  their parent (and with each other).  The memo is cleared by a
+  simple adjacency, so the CSR adjacency, twin classes, class-pair
+  interiors and per-node BFS distances (one sweep per node, however
+  many class pairs it ends) are memoised by the adjacency's edge set
+  rather than discarded whenever ``FabricState.route_generation`` or
+  the drain epoch moves.  A drain/undrain or repair that returns to a
+  known adjacency re-enumerates nothing, and twin forks share the memo
+  with their parent (and with each other).  The memo is cleared by a
   structural ``FabricState.generation`` bump and bounded to
   :data:`ROUTING_MEMO_SIZE` adjacencies, evicted oldest first.
 * **Shared member resolution, per-path tables.**  A pair's ECMP member
@@ -213,14 +214,15 @@ class TrafficState:
         (structure is only re-read if the twin's generation moves).
         The fork shares every immutable routing artifact with the
         parent — structure snapshots, usable adjacency, twin classes,
-        the per-class-pair path-interior cache, and the routing and
-        member-resolution memos themselves, so paths and member rows
-        any side has resolved for a routing state are reused by every
-        other.  The twin only drops its pointer to the loss-dependent
-        resolution; its first window picks the one for its own loss.
-        Cumulative accounting columns start at zero on the twin (they
-        join the *forked* state's consumer column list, so the
-        parent's accounting is untouched).
+        the per-class-pair path-interior and per-node distance caches,
+        and the routing and member-resolution memos themselves, so
+        paths and member rows any side has resolved for a routing
+        state are reused by every other.  The twin only drops its
+        pointer to the loss-dependent resolution; its first window
+        picks the one for its own loss.  Cumulative accounting columns
+        start at zero on the twin (they join the *forked* state's
+        consumer column list, so the parent's accounting is
+        untouched).
         """
         self._refresh()
         twin = TrafficState.__new__(TrafficState)
@@ -255,12 +257,13 @@ class TrafficState:
         twin._resolution_memo = self._resolution_memo
         # Routing artifacts (each side replaces, never mutates, these
         # on its own rebuild; cache fills into the shared interiors
-        # dict are value-identical on both sides).
+        # and distance dicts are value-identical on both sides).
         twin._usable = self._usable
         twin._adj_indptr = self._adj_indptr
         twin._adj_indices = self._adj_indices
         twin._class_of = self._class_of
         twin._class_interiors = self._class_interiors
+        twin._node_distances = self._node_distances
         twin._memo_key = self._memo_key
         twin._route_key = self._route_key
         # Member resolution depends on live loss rates: re-picked.
@@ -306,8 +309,9 @@ class TrafficState:
         self._structure_gen = fs.generation
         self._route_key = None
         #: Usable edge-set bytes -> (indptr, indices, class_of,
-        #: class_interiors); node ints are only meaningful within one
-        #: structure generation, so a new generation starts empty.
+        #: class_interiors, node_distances); node ints are only
+        #: meaningful within one structure generation, so a new
+        #: generation starts empty.
         self._routing_memo: Dict[bytes, tuple] = {}
         #: (usable edge-set bytes, ``_best_rows`` bytes) -> shared
         #: member resolution; same scope and bound as the routing memo.
@@ -344,12 +348,13 @@ class TrafficState:
             memo[memo_key] = entry
         self._memo_key = memo_key
         (self._adj_indptr, self._adj_indices, self._class_of,
-         self._class_interiors) = entry
+         self._class_interiors, self._node_distances) = entry
         self._reset_resolution()
 
     def _build_adjacency(self, edge_keys: np.ndarray) -> tuple:
-        """CSR adjacency, twin classes and an empty interiors cache
-        for one usable edge set (``head * n_nodes + tail``, sorted)."""
+        """CSR adjacency, twin classes and empty interiors and
+        distance caches for one usable edge set (``head * n_nodes +
+        tail``, sorted)."""
         heads = edge_keys // self.n_nodes
         tails = edge_keys % self.n_nodes
         counts = np.bincount(heads, minlength=self.n_nodes)
@@ -361,7 +366,7 @@ class TrafficState:
             signature = tuple(tails[indptr[node]:indptr[node + 1]])
             class_of[node] = signatures.setdefault(
                 signature, len(signatures))
-        return indptr, tails, class_of, {}
+        return indptr, tails, class_of, {}, {}
 
     def _reset_resolution(self) -> None:
         """Drop this engine's pointer to its member resolution (a shared
@@ -424,11 +429,11 @@ class TrafficState:
         """Shortest node-int paths, lexicographic, capped — the int
         twin of :func:`routing.lexicographic_shortest_paths`."""
         indptr, indices = self._adj_indptr, self._adj_indices
-        dist_src = self._bfs(src)
+        dist_src = self._distances(src)
         total = dist_src[dst]
         if total < 0:
             return []
-        dist_dst = self._bfs(dst)
+        dist_dst = self._distances(dst)
         paths: List[List[int]] = []
         stack = [src]
         cap = self.max_equal_paths
@@ -449,6 +454,15 @@ class TrafficState:
 
         descend(src)
         return paths
+
+    def _distances(self, origin: int) -> np.ndarray:
+        """Hop counts from ``origin`` over the usable adjacency: one
+        :meth:`_bfs` per (adjacency, node), kept in the routing-memo
+        entry so forks share it and eviction drops it.  Read-only."""
+        dist = self._node_distances.get(origin)
+        if dist is None:
+            dist = self._node_distances[origin] = self._bfs(origin)
+        return dist
 
     def _bfs(self, origin: int) -> np.ndarray:
         dist = np.full(self.n_nodes, -1, dtype=np.int64)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from dcrobot.network import LinkState, SwitchRole
+from dcrobot.network import Fabric, LinkState, SwitchRole
 from dcrobot.telemetry import ProbeLocalizer
 from dcrobot.topology import build_fattree, build_leafspine
 
@@ -98,3 +98,55 @@ def test_probe_disconnected_endpoint_returns_none(topo):
     isolated = fabric.add_switch(SwitchRole.LEAF, radix=2)
     localizer = ProbeLocalizer(fabric)
     assert localizer.probe(leaves(topo)[0], isolated.id) is None
+
+
+# -- one graph per fabric structure ------------------------------------------
+
+@pytest.fixture
+def graph_builds(monkeypatch):
+    """Counts every ``Fabric.graph`` build."""
+    builds = []
+    build = Fabric.graph
+
+    def counting(self, operational_only=False):
+        builds.append(operational_only)
+        return build(self, operational_only=operational_only)
+
+    monkeypatch.setattr(Fabric, "graph", counting)
+    return builds
+
+
+def test_mesh_builds_the_graph_once_per_structure(graph_builds):
+    topo = build_fattree(k=4, rng=np.random.default_rng(5))
+    fabric = topo.fabric
+    tors = topo.switches(SwitchRole.TOR)
+    list(fabric.links.values())[7].set_state(1.0, LinkState.DOWN)
+    localizer = ProbeLocalizer(fabric)
+
+    observations = localizer.probe_mesh(tors)
+    assert len(observations) == 56  # 28 pairs x 2 probes
+    assert graph_builds == [False]
+    # The same probes, each through a graph of its own.
+    per_probe = [ProbeLocalizer(fabric).probe(src, dst, flow_hash=attempt)
+                 for index, src in enumerate(tors)
+                 for dst in tors[index + 1:] for attempt in range(2)]
+    assert observations == per_probe
+    del graph_builds[:]
+
+    # Link state is not structure: the graph stays, the verdicts move.
+    victim = fabric.links[observations[0].link_ids[0]]
+    victim.set_state(2.0, LinkState.DOWN)
+    assert localizer.probe_mesh(tors) != observations
+    assert graph_builds == []
+
+    # A switch or host added leaves ``generation`` alone; a link moves it.
+    first = fabric.add_switch(SwitchRole.NODE, radix=2)
+    localizer.probe_mesh(tors)
+    assert len(graph_builds) == 1
+    second = fabric.add_host()
+    localizer.probe_mesh(tors)
+    assert len(graph_builds) == 2
+    fabric.connect(first.id, second.id)
+    assert localizer.probe(first.id, second.id) is not None
+    localizer.probe_mesh(tors)
+    assert len(graph_builds) == 3

@@ -310,6 +310,55 @@ def test_memo_is_bounded_oldest_first(traffic, topo, tors, lex_calls):
     assert len(lex_calls) == before + 1
 
 
+@pytest.fixture
+def bfs_sweeps(monkeypatch):
+    """Records every BFS sweep as (adjacency number, origin node)."""
+    sweeps = []
+    adjacencies = {}
+    sweep = TrafficState._bfs
+
+    def counting(self, origin):
+        adjacency = adjacencies.setdefault(self._memo_key,
+                                           len(adjacencies))
+        sweeps.append((adjacency, int(origin)))
+        return sweep(self, origin)
+
+    monkeypatch.setattr(TrafficState, "_bfs", counting)
+    return sweeps
+
+
+def test_one_bfs_sweep_per_adjacency_and_node(traffic, topo, tors,
+                                              bfs_sweeps):
+    """Resolving every endpoint pair sweeps each node at most once per
+    usable adjacency, though a node ends many class pairs; forks reuse
+    the parent's sweeps."""
+    n = len(tors)
+    src, dst = np.nonzero(~np.eye(n, dtype=bool))
+    flows = len(src)
+
+    def offer_every_pair(engine):
+        return engine.offer_window(src, dst, np.full(flows, 10**6),
+                                   np.arange(flows), 60.0)
+
+    assert offer_every_pair(traffic).unroutable == 0
+    router = EcmpRouter(topo.fabric)
+    assert all(traffic.equal_cost_paths(a, b)
+               == router.equal_cost_paths(a, b)
+               for a in tors for b in tors if a != b)
+    uplink = topo.fabric.links_of(tors[0])[0].id
+    traffic.drain(uplink)
+    offer_every_pair(traffic)
+    assert {adjacency for adjacency, _node in bfs_sweeps} == {0, 1}
+    assert len(bfs_sweeps) == len(set(bfs_sweeps)), sorted(bfs_sweeps)
+    swept = len(bfs_sweeps)
+    twin = traffic.fork(TwinFabric(topo.fabric,
+                                   topo.fabric.state.fork()))
+    offer_every_pair(twin)
+    twin.undrain(uplink)
+    offer_every_pair(twin)
+    assert len(bfs_sweeps) == swept
+
+
 def test_member_resolutions_are_shared_and_bounded():
     """Alternating best-row states under one adjacency each keep one
     shared resolution, at most ROUTING_MEMO_SIZE of them, evicting the

@@ -40,8 +40,12 @@ TARGETS = ("src/dcrobot/core", "src/dcrobot/chaos",
            "src/dcrobot/network/cable.py",
            "src/dcrobot/network/switchgear.py",
            "src/dcrobot/network/endface.py",
+           "src/dcrobot/network/inventory.py",
+           "src/dcrobot/topology/base.py",
+           "src/dcrobot/topology/jellyfish.py",
            "src/dcrobot/telemetry/detectors.py",
            "src/dcrobot/telemetry/monitor.py",
+           "src/dcrobot/telemetry/localization.py",
            "src/dcrobot/metrics/mttr.py",
            "src/dcrobot/metrics/report.py",
            "src/dcrobot/sim/batch.py")

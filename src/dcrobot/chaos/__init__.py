@@ -19,13 +19,9 @@ from dcrobot.chaos.config import ChaosConfig
 from dcrobot.chaos.controller import ControllerChaos
 from dcrobot.chaos.engine import ChaosEngine
 from dcrobot.chaos.executor import ChaoticExecutor
-from dcrobot.chaos.faults import ChaosFault, ChaosFaultKind, ChaosLog
-from dcrobot.chaos.robot import RobotChaos, RobotChaosPlan
-from dcrobot.chaos.safety import (
-    InvariantViolation,
-    SafetyMonitor,
-    SafetyReport,
-)
+from dcrobot.chaos.faults import ChaosFaultKind, ChaosLog
+from dcrobot.chaos.robot import RobotChaos
+from dcrobot.chaos.safety import SafetyMonitor
 from dcrobot.chaos.telemetry import TelemetryChaos
 
 __all__ = [
@@ -33,13 +29,9 @@ __all__ = [
     "ChaosEngine",
     "ControllerChaos",
     "ChaoticExecutor",
-    "ChaosFault",
     "ChaosFaultKind",
     "ChaosLog",
     "RobotChaos",
-    "RobotChaosPlan",
     "TelemetryChaos",
     "SafetyMonitor",
-    "SafetyReport",
-    "InvariantViolation",
 ]

@@ -2,82 +2,24 @@
 contribution: work orders, repair physics, escalation, policies,
 impact-aware scheduling, automation levels, controller, service API."""
 
-from dcrobot.core.actions import (
-    Priority,
-    RepairAction,
-    RepairOutcome,
-    WorkOrder,
-)
-from dcrobot.core.api import MaintenanceServiceAPI, MaintenanceStatus
+from dcrobot.core.actions import Priority, RepairAction, WorkOrder
+from dcrobot.core.api import MaintenanceServiceAPI
 from dcrobot.core.audit import (
     AuditLog,
-    AuditRecord,
     AuthorizationError,
-    CapabilityToken,
     MaintenanceAuthorizer,
 )
-from dcrobot.core.automation import (
-    LEVEL_SPECS,
-    AutomationLevel,
-    LevelSpec,
-    spec_for,
-)
-from dcrobot.core.controller import (
-    ActiveOrder,
-    ControllerConfig,
-    Incident,
-    MaintenanceController,
-)
-from dcrobot.core.journal import (
-    JOURNAL_SCHEMA_VERSION,
-    FileJournalStore,
-    JournalRecord,
-    MemoryJournalStore,
-    RecordKind,
-    WriteAheadJournal,
-)
-from dcrobot.core.leadership import (
-    FencedRejection,
-    FencingGuard,
-    LeaseConfig,
-    LeaseCoordinator,
-)
-from dcrobot.core.recovery import (
-    ControllerSupervisor,
-    JournalReplayError,
-    RecoveredState,
-    replay_journal,
-    restore_controller,
-)
-from dcrobot.core.escalation import (
-    DEFAULT_LADDER,
-    EscalationConfig,
-    EscalationLadder,
-)
-from dcrobot.core.impact import CongestionGate, ImpactConfig
+from dcrobot.core.automation import LEVEL_SPECS, AutomationLevel, spec_for
+from dcrobot.core.controller import ControllerConfig, MaintenanceController
+from dcrobot.core.escalation import EscalationConfig, EscalationLadder
 from dcrobot.core.policy import (
     NullPolicy,
-    PlanRequest,
     PredictivePolicy,
     ProactivePolicy,
     ReactivePolicy,
 )
-from dcrobot.core.repairs import (
-    ASSISTED_TECHNICIAN_SKILL,
-    ROBOT_SKILL,
-    TECHNICIAN_SKILL,
-    RepairPhysics,
-    SkillProfile,
-)
-from dcrobot.core.planner import FleetPlan, FleetPlanner, erlang_c
-from dcrobot.core.reconfigure import (
-    RewirePlan,
-    RewireReport,
-    RewireStep,
-    RoboticRewirer,
-    StepKind,
-    plan_rewiring,
-)
+from dcrobot.core.planner import FleetPlanner, erlang_c
+from dcrobot.core.reconfigure import RoboticRewirer, plan_rewiring
 from dcrobot.core.resilience import (
     BreakerPolicy,
     BreakerState,
@@ -91,66 +33,30 @@ __all__ = [
     "RepairAction",
     "Priority",
     "WorkOrder",
-    "RepairOutcome",
-    "RepairPhysics",
-    "SkillProfile",
-    "TECHNICIAN_SKILL",
-    "ROBOT_SKILL",
-    "ASSISTED_TECHNICIAN_SKILL",
     "EscalationLadder",
     "EscalationConfig",
-    "DEFAULT_LADDER",
     "ReactivePolicy",
     "NullPolicy",
     "ProactivePolicy",
     "PredictivePolicy",
-    "PlanRequest",
     "ImpactAwareScheduler",
     "SchedulerConfig",
-    "CongestionGate",
-    "ImpactConfig",
     "AutomationLevel",
-    "LevelSpec",
     "LEVEL_SPECS",
     "spec_for",
     "MaintenanceController",
     "ControllerConfig",
-    "Incident",
-    "ActiveOrder",
     "RetryPolicy",
     "BreakerPolicy",
     "BreakerState",
     "CircuitBreaker",
     "ResilienceConfig",
     "MaintenanceServiceAPI",
-    "MaintenanceStatus",
     "AuditLog",
-    "AuditRecord",
-    "CapabilityToken",
     "MaintenanceAuthorizer",
     "AuthorizationError",
     "FleetPlanner",
-    "FleetPlan",
     "erlang_c",
     "plan_rewiring",
-    "RewirePlan",
-    "RewireStep",
-    "RewireReport",
     "RoboticRewirer",
-    "StepKind",
-    "JOURNAL_SCHEMA_VERSION",
-    "RecordKind",
-    "JournalRecord",
-    "MemoryJournalStore",
-    "FileJournalStore",
-    "WriteAheadJournal",
-    "LeaseConfig",
-    "LeaseCoordinator",
-    "FencingGuard",
-    "FencedRejection",
-    "JournalReplayError",
-    "RecoveredState",
-    "replay_journal",
-    "restore_controller",
-    "ControllerSupervisor",
 ]

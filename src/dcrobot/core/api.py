@@ -18,13 +18,10 @@ The facade has two distinct halves, and the service plane (S21,
   mutates the world and always routes through the authorizer/audit
   machinery — the service plane forwards commands here verbatim;
 * the **query path** (:meth:`MaintenanceServiceAPI.status` and friends)
-  is read-only.  ``status()`` serves its link counts from the columnar
-  :class:`~dcrobot.network.state.FabricState` state-code array (one
-  vectorized comparison instead of a Python loop over every link
-  object); :func:`full_scan_status` keeps the legacy full scan as the
-  parity oracle, and the service plane's materialized
-  :class:`~dcrobot.service.readmodel.ReadModel` turns repeated queries
-  into O(1) snapshot reads.
+  is read-only.  ``status()`` is :func:`full_scan_status`, which visits
+  every link object; the service plane's materialized
+  :class:`~dcrobot.service.readmodel.ReadModel` serves the same status
+  as an O(1) snapshot read and audits it against that full scan.
 """
 
 from __future__ import annotations
@@ -32,13 +29,10 @@ from __future__ import annotations
 import dataclasses
 from typing import List, Optional
 
-import numpy as np
-
 from dcrobot.core.actions import Priority, RepairAction, WorkOrder
 from dcrobot.core.controller import MaintenanceController
 from dcrobot.core.policy import PlanRequest
 from dcrobot.network.enums import LinkState
-from dcrobot.network.state import DOWN_CODE
 
 
 @dataclasses.dataclass(frozen=True)
@@ -54,23 +48,14 @@ class MaintenanceStatus:
     links_total: int
 
 
-def link_state_counts(fabric) -> tuple:
-    """``(links_down, links_total)`` served from the columnar state:
-    one vectorized comparison over the ``state_code`` array instead of
-    a per-object scan."""
-    state = fabric.state
-    n = state.n_links
-    down = int(np.count_nonzero(state.state_code[:n] == DOWN_CODE))
-    return down, n
-
-
 def full_scan_status(controller: MaintenanceController
                      ) -> MaintenanceStatus:
-    """The legacy full-scan status: every link object visited.
+    """The maintenance-plane status from a full scan: every link
+    object visited.
 
-    Kept as the parity oracle for the vectorized
-    :meth:`MaintenanceServiceAPI.status` path and for the service
-    plane's read-model snapshots (both must equal this exactly).
+    :meth:`MaintenanceServiceAPI.status` returns it, and the service
+    plane's read-model snapshots must equal it exactly (the parity
+    audit runs it at serve time).
     """
     repair_times = controller.repair_times()
     links = controller.fabric.links.values()
@@ -105,27 +90,9 @@ class MaintenanceServiceAPI:
     # -- observation (query path) ----------------------------------------------
 
     def status(self) -> MaintenanceStatus:
-        """Current maintenance-plane summary.
-
-        Link counts come from the columnar state-code array (see
-        :func:`link_state_counts`); everything else is O(1) controller
-        bookkeeping except the MTTR sum, which the service plane's
-        read model additionally materializes incrementally.
-        """
-        controller = self.controller
-        repair_times = controller.repair_times()
-        links_down, links_total = link_state_counts(controller.fabric)
-        return MaintenanceStatus(
-            open_incidents=len(controller.open_incidents),
-            closed_incidents=len(controller.closed_incidents),
-            unresolved_incidents=len(controller.unresolved_incidents),
-            proactive_operations=len(controller.proactive_outcomes),
-            mean_time_to_repair_seconds=(
-                sum(repair_times) / len(repair_times)
-                if repair_times else None),
-            links_down=links_down,
-            links_total=links_total,
-        )
+        """Current maintenance-plane summary (see
+        :func:`full_scan_status`)."""
+        return full_scan_status(self.controller)
 
     def incident_for(self, link_id: str):
         """The open incident on a link, if any."""

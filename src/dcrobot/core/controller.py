@@ -434,13 +434,6 @@ class MaintenanceController:
     def _executor_id(executor) -> str:
         return getattr(executor, "executor_id", "executor")
 
-    @property
-    def automation_degraded(self) -> bool:
-        """True while the fleet breaker benches the robots."""
-        from dcrobot.core.resilience import BreakerState
-        return (self.fleet_breaker is not None
-                and self.fleet_breaker.state is not BreakerState.CLOSED)
-
     # -- reactive path -----------------------------------------------------------
 
     def on_event(self, event: TelemetryEvent) -> None:
@@ -954,8 +947,3 @@ class MaintenanceController:
         """Service windows (seconds) of all resolved incidents."""
         return [incident.time_to_repair
                 for incident in self.closed_incidents]
-
-    def total_attempts(self) -> int:
-        incidents = self.closed_incidents + self.unresolved_incidents \
-            + list(self.open_incidents.values())
-        return sum(incident.attempt_count for incident in incidents)

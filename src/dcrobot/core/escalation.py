@@ -18,7 +18,7 @@ integrated cable) are skipped; after the final stage the ladder restarts
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from dcrobot.core.actions import RepairAction
 from dcrobot.network.link import Link
@@ -111,8 +111,3 @@ class EscalationLadder:
             if self.applicable(action, link):
                 return action
         raise ValueError(f"no applicable action for link {link.id}")
-
-    def stages_for(self, link: Link) -> List[RepairAction]:
-        """The concrete ladder this link would walk (skips N/A stages)."""
-        return [action for action in self.config.ladder
-                if self.applicable(action, link)]

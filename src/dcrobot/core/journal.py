@@ -171,10 +171,6 @@ class WriteAheadJournal:
             if record.kind is RecordKind.SNAPSHOT)
 
     @property
-    def next_seq(self) -> int:
-        return self._next_seq
-
-    @property
     def record_count(self) -> int:
         return self._next_seq
 

@@ -136,10 +136,15 @@ def plan_rewiring(fabric: Fabric,
         a, b = step.endpoints
         if graph.number_of_edges(a, b) > 1:
             return True
-        trial = nx.Graph(graph)
-        trial.remove_edge(a, b)
-        return nx.is_connected(trial) if nx.is_connected(
-            nx.Graph(graph)) else True
+        if not nx.is_connected(graph):
+            return True
+        # The graph is connected, so dropping the one a-b edge splits
+        # it exactly when no other path joins a and b.
+        key = next(iter(graph[a][b]))
+        graph.remove_edge(a, b, key=key)
+        safe = nx.has_path(graph, a, b)
+        graph.add_edge(a, b, key=key)
+        return safe
 
     def apply(step: RewireStep) -> None:
         a, b = step.endpoints

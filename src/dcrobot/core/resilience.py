@@ -69,12 +69,6 @@ class RetryPolicy:
         return [self.backoff_seconds(index)
                 for index in range(self.max_retries)]
 
-    def jitter_bounds(self, retry_index: int) -> Tuple[float, float]:
-        """The closed interval a jittered delay must fall in."""
-        base = self.backoff_seconds(retry_index)
-        return (base * (1.0 - self.jitter_fraction),
-                base * (1.0 + self.jitter_fraction))
-
     def jittered_backoff(self, retry_index: int,
                          rng: np.random.Generator) -> float:
         """A jittered delay for retry ``retry_index``, drawn from ``rng``."""

@@ -73,9 +73,6 @@ class ImpactAwareScheduler:
             return start - day_seconds
         return SECONDS_PER_DAY - day_seconds + start
 
-    def in_quiet_window(self, now: float) -> bool:
-        return self.seconds_until_quiet_window(now) == 0.0
-
     # -- drain management ---------------------------------------------------------
 
     def before_repair(self, order: WorkOrder) -> List[str]:

@@ -1,17 +1,112 @@
-"""Command-line entry point: ``python -m dcrobot.experiments <id|all>``."""
+"""Command-line entry point: ``python -m dcrobot.experiments <id|all>``.
+
+The experiment registry lives here, its only consumer: importing this
+module imports all twenty experiment modules, and importing the
+:mod:`dcrobot.experiments` package does not.
+"""
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 import time
+from typing import Callable, Dict, Optional
 
-from dcrobot.experiments import DESCRIPTIONS, REGISTRY, run_experiment
+from dcrobot.experiments import (
+    e01_service_window,
+    e02_tail_latency,
+    e03_cascade,
+    e04_rightprovisioning,
+    e05_proactive,
+    e06_automation_levels,
+    e07_escalation,
+    e08_robot_ops,
+    e09_topology_smi,
+    e10_predictive_ml,
+    e11_mobility_scopes,
+    e12_gpu_cluster,
+    e13_chaos_resilience,
+    e14_crash_recovery,
+    e15_scale,
+    e16_traffic_maintenance,
+    e17_twin_planning,
+    e18_fleet_healing,
+    e19_campus_scale,
+    e20_service_load,
+)
 from dcrobot.experiments.parallel import (
     DEFAULT_CACHE_DIR,
     Execution,
     TrialCache,
 )
+from dcrobot.experiments.result import ExperimentResult
+
+_MODULES = (
+    e01_service_window,
+    e02_tail_latency,
+    e03_cascade,
+    e04_rightprovisioning,
+    e05_proactive,
+    e06_automation_levels,
+    e07_escalation,
+    e08_robot_ops,
+    e09_topology_smi,
+    e10_predictive_ml,
+    e11_mobility_scopes,
+    e12_gpu_cluster,
+    e13_chaos_resilience,
+    e14_crash_recovery,
+    e15_scale,
+    e16_traffic_maintenance,
+    e17_twin_planning,
+    e18_fleet_healing,
+    e19_campus_scale,
+    e20_service_load,
+)
+
+#: Experiment id -> run function.
+REGISTRY: Dict[str, Callable[..., ExperimentResult]] = {
+    module.EXPERIMENT_ID: module.run for module in _MODULES
+}
+
+#: Experiment id -> (title, paper anchor).
+DESCRIPTIONS: Dict[str, tuple] = {
+    module.EXPERIMENT_ID: (module.TITLE, module.PAPER_ANCHOR)
+    for module in _MODULES
+}
+
+
+def run_experiment(experiment_id: str, quick: bool = True,
+                   seed: int = 0,
+                   execution: Optional[Execution] = None,
+                   observe: bool = False) -> ExperimentResult:
+    """Run one experiment by id (``e1`` .. ``e20``).
+
+    ``execution`` selects worker count, Monte-Carlo replicates, and
+    the trial cache (see :class:`dcrobot.experiments.parallel.Execution`);
+    ``None`` keeps the serial, uncached default.  ``observe`` asks the
+    experiment to trace one designated trial and attach the trace and
+    metrics snapshot to the result; experiments without observability
+    support raise ``ValueError``.
+    """
+    try:
+        runner = REGISTRY[experiment_id.lower()]
+    except KeyError:
+        raise KeyError(
+            f"unknown experiment {experiment_id!r}; "
+            f"available: {sorted(REGISTRY)}") from None
+    kwargs = {"quick": quick, "seed": seed, "execution": execution}
+    if observe:
+        if "observe" not in inspect.signature(runner).parameters:
+            supported = sorted(
+                key for key, fn in REGISTRY.items()
+                if "observe" in inspect.signature(fn).parameters)
+            raise ValueError(
+                f"experiment {experiment_id!r} does not support "
+                f"observability; use one of: {supported}")
+        kwargs["observe"] = True
+    return runner(**kwargs)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -5,7 +5,6 @@ from __future__ import annotations
 import csv
 import dataclasses
 import io
-import json
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from dcrobot.metrics.report import Table
@@ -103,14 +102,6 @@ class ExperimentResult:
                         for timing in self.timings],
         }
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
-
-    def save_json(self, path: str) -> None:
-        """Write the result as JSON (for plotting pipelines)."""
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(self.to_json())
-
     def tables_to_csv(self) -> str:
         """All tables as CSV blocks separated by blank lines."""
         buffer = io.StringIO()
@@ -123,11 +114,6 @@ class ExperimentResult:
                 writer.writerow(row)
             writer.writerow([])
         return buffer.getvalue()
-
-    def save_csv(self, path: str) -> None:
-        """Write the tables as CSV."""
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(self.tables_to_csv())
 
     def save_trace_jsonl(self, path: str) -> bool:
         """Write the observed trial's trace as JSONL spans.

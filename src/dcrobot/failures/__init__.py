@@ -6,47 +6,34 @@ from dcrobot.failures.cascade import (
     ROBOT_GRIPPER,
     CascadeModel,
     ContactProfile,
-    TouchReport,
 )
-from dcrobot.failures.aging import OxidationAging
 from dcrobot.failures.dust import DustProcess
 from dcrobot.failures.environment import Environment
 from dcrobot.failures.hazards import (
-    SECONDS_PER_HOUR,
     SECONDS_PER_YEAR,
     ExponentialHazard,
-    FixedHazard,
     WeibullHazard,
     per_year,
 )
 from dcrobot.failures.health import HealthModel, HealthParams
 from dcrobot.failures.trace import FaultTrace, TraceEntry
-from dcrobot.failures.injector import (
-    FailureRates,
-    FaultInjector,
-    InjectedFault,
-)
+from dcrobot.failures.injector import FailureRates, FaultInjector
 
 __all__ = [
     "Environment",
     "DustProcess",
-    "OxidationAging",
     "HealthModel",
     "HealthParams",
     "FaultInjector",
     "FailureRates",
-    "InjectedFault",
     "FaultTrace",
     "TraceEntry",
     "CascadeModel",
     "ContactProfile",
-    "TouchReport",
     "HUMAN_HANDS",
     "ROBOT_GRIPPER",
     "ExponentialHazard",
     "WeibullHazard",
-    "FixedHazard",
     "per_year",
     "SECONDS_PER_YEAR",
-    "SECONDS_PER_HOUR",
 ]

@@ -139,7 +139,3 @@ class CascadeModel:
         report = TouchReport(touched, disturbed, damaged)
         self.reports.append(report)
         return report
-
-    @property
-    def total_secondary_failures(self) -> int:
-        return sum(report.secondary_failures for report in self.reports)

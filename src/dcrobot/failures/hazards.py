@@ -81,20 +81,3 @@ class WeibullHazard:
         """Mean time between events (seconds)."""
         from math import gamma
         return self.scale * gamma(1.0 + 1.0 / self.shape)
-
-
-class FixedHazard:
-    """Deterministic inter-event time — for tests and calibration."""
-
-    def __init__(self, interval_seconds: float) -> None:
-        if interval_seconds <= 0:
-            raise ValueError(
-                f"interval must be > 0, got {interval_seconds}")
-        self.interval = float(interval_seconds)
-
-    def sample(self, rng: np.random.Generator) -> float:  # noqa: ARG002
-        return self.interval
-
-    @property
-    def mean(self) -> float:
-        return self.interval

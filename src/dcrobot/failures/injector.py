@@ -178,12 +178,3 @@ class FaultInjector:
         """Spawn one process per cause; returns the process handles."""
         return [sim.process(self.run_cause(sim, kind))
                 for kind in DegradationKind]
-
-    # -- ground-truth queries ------------------------------------------------------
-
-    def faults_for_link(self, link_id: str) -> List[InjectedFault]:
-        return [fault for fault in self.log if fault.link_id == link_id]
-
-    def faults_between(self, start: float,
-                       end: float) -> List[InjectedFault]:
-        return [fault for fault in self.log if start <= fault.time < end]

@@ -1,29 +1,14 @@
 """Measurement & economics (S11)."""
 
-from dcrobot.metrics.amplification import (
-    AmplificationStats,
-    amplification_from_outcomes,
-)
+from dcrobot.metrics.amplification import amplification_from_outcomes
 from dcrobot.metrics.attribution import (
-    AttributionSummary,
     attribute_incidents,
     disturbed_links_from_cascade,
 )
-from dcrobot.metrics.availability import (
-    AvailabilitySummary,
-    availability_from_incidents,
-    downtime_seconds,
-    link_availability,
-)
-from dcrobot.metrics.cost import CostBreakdown, CostModel, CostParams
-from dcrobot.metrics.energy import (
-    TRANSCEIVER_WATTS,
-    EnergyModel,
-    EnergyParams,
-    EnergyReport,
-)
+from dcrobot.metrics.availability import link_availability
+from dcrobot.metrics.cost import CostModel, CostParams
+from dcrobot.metrics.energy import TRANSCEIVER_WATTS, EnergyModel, EnergyParams
 from dcrobot.metrics.mttr import (
-    RepairTimeStats,
     format_duration,
     mtbf_seconds,
     repair_time_stats,
@@ -38,28 +23,20 @@ from dcrobot.metrics.viz import (
 
 __all__ = [
     "link_availability",
-    "downtime_seconds",
-    "availability_from_incidents",
-    "AvailabilitySummary",
     "repair_time_stats",
-    "RepairTimeStats",
     "format_duration",
     "mtbf_seconds",
     "amplification_from_outcomes",
-    "AmplificationStats",
     "CostModel",
     "CostParams",
-    "CostBreakdown",
     "Table",
     "EnergyModel",
     "EnergyParams",
-    "EnergyReport",
     "TRANSCEIVER_WATTS",
     "sparkline",
     "link_state_strip",
     "hall_map",
     "availability_bar",
-    "AttributionSummary",
     "attribute_incidents",
     "disturbed_links_from_cascade",
 ]

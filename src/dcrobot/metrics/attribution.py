@@ -42,10 +42,6 @@ class AttributionSummary:
             return 0.0
         return self.by_cause.get(kind, 0) / self.total
 
-    @property
-    def collateral_share(self) -> float:
-        return self.collateral / self.total if self.total else 0.0
-
     def __repr__(self) -> str:
         return (f"<AttributionSummary total={self.total} "
                 f"injected={self.injected} "

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Dict, List
+from typing import Dict
 
 import numpy as np
 
@@ -64,28 +64,3 @@ def link_availability(fabric: Fabric, start: float,
         mean=float(np.mean(values)),
         worst=float(min(values)),
         per_link=per_link)
-
-
-def downtime_seconds(fabric: Fabric, start: float, end: float) -> float:
-    """Total link-downtime (link-seconds not carrying traffic)."""
-    horizon = end - start
-    return sum((1.0 - fraction) * horizon
-               for fraction in link_availability(
-                   fabric, start, end).per_link.values())
-
-
-def availability_from_incidents(repair_times: List[float],
-                                incident_count: int,
-                                horizon_seconds: float,
-                                link_count: int) -> float:
-    """Analytic availability: 1 - (incidents x MTTR) / link-time.
-
-    Useful as a cross-check against the timeline-based measurement.
-    """
-    if link_count <= 0 or horizon_seconds <= 0:
-        raise ValueError("need positive link_count and horizon")
-    if not repair_times or incident_count == 0:
-        return 1.0
-    mean_ttr = float(np.mean(repair_times))
-    downtime = incident_count * mean_ttr
-    return max(0.0, 1.0 - downtime / (link_count * horizon_seconds))

@@ -1,31 +1,18 @@
 """Predictive maintenance ML (S10): features, models, evaluation."""
 
-from dcrobot.ml.dataset import DatasetCollector, LabeledDataset
-from dcrobot.ml.evaluate import (
-    ClassificationReport,
-    evaluate,
-    roc_auc,
-    train_test_split,
-)
-from dcrobot.ml.features import (
-    FEATURE_NAMES,
-    FeatureConfig,
-    FeatureExtractor,
-)
+from dcrobot.ml.dataset import DatasetCollector
+from dcrobot.ml.evaluate import evaluate, roc_auc, train_test_split
+from dcrobot.ml.features import FEATURE_NAMES, FeatureExtractor
 from dcrobot.ml.logreg import LogisticRegression
-from dcrobot.ml.stumps import GradientBoostedStumps, Stump
+from dcrobot.ml.stumps import GradientBoostedStumps
 
 __all__ = [
     "FeatureExtractor",
-    "FeatureConfig",
     "FEATURE_NAMES",
     "DatasetCollector",
-    "LabeledDataset",
     "LogisticRegression",
     "GradientBoostedStumps",
-    "Stump",
     "evaluate",
     "roc_auc",
     "train_test_split",
-    "ClassificationReport",
 ]

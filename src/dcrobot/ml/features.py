@@ -12,7 +12,7 @@ systems").
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -93,9 +93,3 @@ class FeatureExtractor:
             1.0 if link.cable.cleanable else 0.0,
             temperature_dev,
         ], dtype=float)
-
-    def extract_matrix(self, links: List[Link], now: float) -> np.ndarray:
-        """Stacked feature rows for a list of links."""
-        if not links:
-            return np.empty((0, len(FEATURE_NAMES)))
-        return np.vstack([self.extract(link, now) for link in links])

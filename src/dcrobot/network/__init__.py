@@ -6,19 +6,8 @@ physical geometry (racks, rows, halls, cable bundles) that robot
 mobility and cascading failures depend on.
 """
 
-from dcrobot.network.bundles import BundleRegistry, CableBundle
-from dcrobot.network.cable import (
-    AOC_MAX_LENGTH_M,
-    DAC_MAX_LENGTH_M,
-    Cable,
-    cores_for,
-    kind_for_length,
-)
-from dcrobot.network.endface import (
-    IMPAIRMENT_THRESHOLD,
-    INSPECTION_PASS_THRESHOLD,
-    EndFace,
-)
+from dcrobot.network.cable import Cable, cores_for, kind_for_length
+from dcrobot.network.endface import INSPECTION_PASS_THRESHOLD, EndFace
 from dcrobot.network.enums import (
     CableKind,
     ComponentState,
@@ -27,37 +16,16 @@ from dcrobot.network.enums import (
     FormFactor,
     LinkState,
 )
-from dcrobot.network.ids import IdFactory
 from dcrobot.network.inventory import Fabric
-from dcrobot.network.layout import (
-    AISLE_WIDTH_M,
-    RACK_DEPTH_M,
-    RACK_UNIT_HEIGHT_M,
-    RACK_WIDTH_M,
-    HallLayout,
-    Position,
-    Rack,
-)
-from dcrobot.network.link import Link
-from dcrobot.network.switchgear import Host, LineCard, Port, Switch, SwitchRole
-from dcrobot.network.transceiver import (
-    PullTabKind,
-    Transceiver,
-    TransceiverModel,
-    generate_model_catalog,
-)
+from dcrobot.network.layout import HallLayout, Position
+from dcrobot.network.switchgear import Switch, SwitchRole
+from dcrobot.network.transceiver import Transceiver, generate_model_catalog
 
 __all__ = [
     "Fabric",
-    "Link",
     "Switch",
     "SwitchRole",
-    "Host",
-    "LineCard",
-    "Port",
     "Transceiver",
-    "TransceiverModel",
-    "PullTabKind",
     "generate_model_catalog",
     "Cable",
     "CableKind",
@@ -71,16 +39,5 @@ __all__ = [
     "LinkState",
     "HallLayout",
     "Position",
-    "Rack",
-    "CableBundle",
-    "BundleRegistry",
-    "IdFactory",
     "INSPECTION_PASS_THRESHOLD",
-    "IMPAIRMENT_THRESHOLD",
-    "DAC_MAX_LENGTH_M",
-    "AOC_MAX_LENGTH_M",
-    "RACK_WIDTH_M",
-    "RACK_DEPTH_M",
-    "AISLE_WIDTH_M",
-    "RACK_UNIT_HEIGHT_M",
 ]

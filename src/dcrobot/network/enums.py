@@ -78,10 +78,6 @@ class EndFacePolish(enum.Enum):
     UPC = 0.0   #: flat polish
     APC = 8.0   #: 8-degree angled polish
 
-    @property
-    def angle_degrees(self) -> float:
-        return float(self.value)
-
 
 class LinkState(enum.Enum):
     """Operational state of a network link as seen by the fabric."""

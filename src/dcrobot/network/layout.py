@@ -27,12 +27,6 @@ class Position:
     y: float
     z: float = 0.0
 
-    def distance_to(self, other: "Position") -> float:
-        """Euclidean distance."""
-        return math.sqrt((self.x - other.x) ** 2
-                         + (self.y - other.y) ** 2
-                         + (self.z - other.z) ** 2)
-
     def floor_distance_to(self, other: "Position") -> float:
         """Distance in the XY plane (what a floor-bound robot travels)."""
         return math.hypot(self.x - other.x, self.y - other.y)
@@ -88,16 +82,8 @@ class HallLayout:
     def __repr__(self) -> str:
         return f"<HallLayout {self.rows}x{self.racks_per_row}>"
 
-    @property
-    def rack_count(self) -> int:
-        return self.rows * self.racks_per_row
-
     def rack_at(self, row: int, index: int) -> Rack:
         return self._grid[row][index]
-
-    def rack_list(self) -> List[Rack]:
-        """All racks in row-major order."""
-        return [rack for row in self._grid for rack in row]
 
     def travel_distance(self, origin: Position, target: Position) -> float:
         """Aisle-constrained travel distance between two floor points.
@@ -107,11 +93,6 @@ class HallLayout:
         standard approximation for that movement pattern.
         """
         return abs(origin.x - target.x) + abs(origin.y - target.y)
-
-    def racks_in_row(self, row: int) -> List[Rack]:
-        if not 0 <= row < self.rows:
-            raise ValueError(f"row {row} outside 0..{self.rows - 1}")
-        return list(self._grid[row])
 
     def neighbors(self, rack_id: str, radius_m: float) -> List[Rack]:
         """Racks whose floor position lies within ``radius_m`` (excludes

@@ -50,8 +50,6 @@ class Link:
         self.history: List[Tuple[float, LinkState]] = []
         #: Current packet-loss probability (set by the health model).
         self.loss_rate = 0.0
-        #: Cumulative count of UP<->non-UP transitions (flap counter).
-        self.transition_count = 0
 
     # -- columnar mirror -------------------------------------------------------
 
@@ -139,14 +137,12 @@ class Link:
         old_state = self._state
         if new_state is old_state:
             return False
-        flapped = is_flap(old_state, new_state)
-        if flapped:
-            self.transition_count += 1
         self.state = new_state
         self.history.append((now, new_state))
         fs = self._fs
         if fs is not None:
-            fs.on_transition(self._row, now, old_state, new_state, flapped)
+            fs.on_transition(self._row, now, old_state, new_state,
+                             is_flap(old_state, new_state))
         return True
 
     def uptime_fraction(self, start: float, end: float) -> float:

@@ -35,7 +35,7 @@ Design rules:
   ``fabric.links`` dict order, which is what keeps batched RNG draws
   stream-identical to the per-link loops.
 * **Event-sourced flap log.**  ``set_state`` appends flap-qualifying
-  transitions (same rule as ``Link.transition_count``) to a global
+  transitions (the :func:`~dcrobot.network.enums.is_flap` rule) to a global
   time-sorted ``(time, lid)`` log.  A :class:`FlapWindow` slides along
   it and keeps per-lid counts over an open window, so a poll visits
   each event twice (when it enters, when it leaves), however long the

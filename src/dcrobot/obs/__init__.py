@@ -28,9 +28,6 @@ __all__ = [
     "Observability",
     "NullObservability",
     "NULL_OBS",
-    "MetricsRegistry",
-    "Tracer",
-    "trace_id_from_seed",
     "observability_for_seed",
 ]
 

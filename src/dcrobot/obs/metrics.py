@@ -120,9 +120,6 @@ class Gauge:
         key = _label_key(labels)
         self._values[key] = self._values.get(key, 0.0) + _number(value)
 
-    def dec(self, value: float = 1.0, **labels: Any) -> None:
-        self.inc(-_number(value), **labels)
-
     def value(self, **labels: Any) -> float:
         return self._values.get(_label_key(labels), 0.0)
 
@@ -191,18 +188,6 @@ class Histogram:
     def sum(self, **labels: Any) -> float:
         state = self._states.get(_label_key(labels))
         return state.sum if state is not None else 0.0
-
-    def cumulative_counts(self, **labels: Any) -> List[int]:
-        """Prometheus-style cumulative bucket counts, one per finite
-        bound plus the trailing +Inf (== total count)."""
-        state = self._states.get(_label_key(labels))
-        counts = (state.bucket_counts if state is not None
-                  else [0] * (len(self.uppers) + 1))
-        out, running = [], 0
-        for bucket in counts:
-            running += bucket
-            out.append(running)
-        return out
 
     def merge(self, other: "Histogram") -> "Histogram":
         """Combine two histograms with identical bounds into a new

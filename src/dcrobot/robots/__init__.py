@@ -1,39 +1,18 @@
 """Robotics substrate (S7): modular maintenance robot units and fleet."""
 
-from dcrobot.robots.base import RobotUnit
 from dcrobot.robots.cleaner import CleanerParams, CleaningRobot
-from dcrobot.robots.fleet import (
-    ADVANCED_CAPABILITIES,
-    BASIC_CAPABILITIES,
-    Assignment,
-    FleetConfig,
-    RobotFleet,
-)
-from dcrobot.robots.health import (
-    OrderHazard,
-    RobotHealthModel,
-    RobotHealthParams,
-    UnitHealth,
-)
+from dcrobot.robots.fleet import FleetConfig, RobotFleet
 from dcrobot.robots.manipulator import ManipulatorParams, ManipulatorRobot
 from dcrobot.robots.mobility import MobilityModel, MobilityScope
 from dcrobot.robots.perception import PerceptionModel, PerceptionParams
 
 __all__ = [
-    "RobotUnit",
     "ManipulatorRobot",
     "ManipulatorParams",
     "CleaningRobot",
     "CleanerParams",
     "RobotFleet",
     "FleetConfig",
-    "Assignment",
-    "RobotHealthParams",
-    "RobotHealthModel",
-    "UnitHealth",
-    "OrderHazard",
-    "BASIC_CAPABILITIES",
-    "ADVANCED_CAPABILITIES",
     "MobilityModel",
     "MobilityScope",
     "PerceptionModel",

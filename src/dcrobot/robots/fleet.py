@@ -241,12 +241,6 @@ class RobotFleet:
         return any(robot.can_reach(rack_id)
                    for robot in self._service_manipulators())
 
-    def coverage_fraction(self) -> float:
-        """Fraction of hall racks inside some manipulator's scope."""
-        racks = list(self.fabric.layout.racks)
-        covered = sum(1 for rack in racks if self.covers(rack))
-        return covered / len(racks) if racks else 1.0
-
     def healthy_fraction(self) -> float:
         """In-service fraction of the manipulator fleet (1.0 when no
         health model is attached)."""

@@ -213,12 +213,6 @@ class RobotHealthModel:
                      if when >= window_start)
         return recent >= self.params.flaky_fault_threshold
 
-    # -- fleet aggregates ------------------------------------------------------
-
-    def in_service_ids(self) -> List[str]:
-        return [unit_id for unit_id, record in self.records.items()
-                if record.in_service]
-
 
 __all__ = [
     "RobotHealthParams",

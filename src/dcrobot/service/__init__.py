@@ -9,22 +9,10 @@ the front-end (:mod:`~dcrobot.service.server`) ties them into a
 servable :func:`serve_world` over a single hall or a whole campus.
 """
 
-from dcrobot.service.admission import (
-    AdmissionConfig,
-    AdmissionController,
-    RequestKind,
-    TokenBucket,
-)
-from dcrobot.service.bridge import BridgeConfig, SimBridge
-from dcrobot.service.readmodel import (
-    CampusReadModel,
-    ReadModel,
-    ReadModelParityError,
-    ReadSnapshot,
-)
+from dcrobot.service.admission import AdmissionConfig
+from dcrobot.service.bridge import BridgeConfig
 from dcrobot.service.server import (
     MaintenanceService,
-    ServedWorld,
     ServiceConfig,
     ServiceOverloadError,
     TelemetryReport,
@@ -33,19 +21,10 @@ from dcrobot.service.server import (
 
 __all__ = [
     "AdmissionConfig",
-    "AdmissionController",
     "BridgeConfig",
-    "CampusReadModel",
     "MaintenanceService",
-    "ReadModel",
-    "ReadModelParityError",
-    "ReadSnapshot",
-    "RequestKind",
-    "ServedWorld",
     "ServiceConfig",
     "ServiceOverloadError",
-    "SimBridge",
     "TelemetryReport",
-    "TokenBucket",
     "serve_world",
 ]

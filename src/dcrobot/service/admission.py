@@ -16,10 +16,10 @@ deliberately small:
 
 Every decision lands in the S15 metrics registry
 (``dcrobot_service_admitted_total`` / ``dcrobot_service_shed_total``
-by request class, and a ``dcrobot_service_request_latency_seconds``
-histogram for served requests), so the experiment/bench layer reads
-accept/shed/latency straight from the same instruments a Prometheus
-scrape would.
+by request class), beside the front-end's
+``dcrobot_service_request_latency_seconds`` histogram for served
+requests, so the experiment/bench layer reads accept/shed/latency
+straight from the same instruments a Prometheus scrape would.
 """
 
 from __future__ import annotations
@@ -112,9 +112,6 @@ class AdmissionController:
         self._shed = self.metrics.counter(
             "dcrobot_service_shed_total",
             help="Service requests shed by admission control")
-        self._latency = self.metrics.histogram(
-            "dcrobot_service_request_latency_seconds",
-            help="Wall-clock latency of served requests")
 
     def _class_label(self, kind: RequestKind,
                      priority: Priority) -> str:
@@ -137,10 +134,6 @@ class AdmissionController:
             return True
         self._shed.inc(cls=label)
         return False
-
-    def observe_latency(self, kind: RequestKind,
-                        seconds: float) -> None:
-        self._latency.observe(seconds, cls=kind.value)
 
     # -- accounting reads ------------------------------------------------------
 

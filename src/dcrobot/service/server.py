@@ -342,10 +342,6 @@ class MaintenanceService:
         self._ingest_counter.inc(outcome="accepted")
         return True
 
-    @property
-    def ingest_depth(self) -> int:
-        return len(self._ingest)
-
     # -- the serve loop -------------------------------------------------------
 
     async def serve(self, until: float) -> None:

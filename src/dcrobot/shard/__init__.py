@@ -9,20 +9,13 @@ per-shard metrics, and keeping campus-wide SMI.
 
 from dcrobot.shard.boundary import (
     BoundaryConfig,
-    BoundaryLink,
     BoundaryShard,
     boundary_pairs,
 )
-from dcrobot.shard.campus import (
-    CampusSummary,
-    CampusWorld,
-    run_campus,
-)
+from dcrobot.shard.campus import CampusWorld, run_campus
 from dcrobot.shard.federation import (
     CampusFederation,
-    CrossHallIncident,
     FederationRegistry,
-    FederationReport,
     campus_smi,
     merge_metric_snapshots,
 )
@@ -30,16 +23,12 @@ from dcrobot.shard.hall import HALL_SEED_STRIDE, HallShard, hall_config
 
 __all__ = [
     "BoundaryConfig",
-    "BoundaryLink",
     "BoundaryShard",
     "boundary_pairs",
-    "CampusSummary",
     "CampusWorld",
     "run_campus",
     "CampusFederation",
-    "CrossHallIncident",
     "FederationRegistry",
-    "FederationReport",
     "campus_smi",
     "merge_metric_snapshots",
     "HALL_SEED_STRIDE",

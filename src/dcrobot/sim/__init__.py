@@ -11,49 +11,18 @@ from dcrobot.sim.errors import (
     Interrupt,
     SimulationError,
 )
-from dcrobot.sim.events import (
-    NORMAL,
-    URGENT,
-    Condition,
-    ConditionValue,
-    Event,
-    Timeout,
-    all_of,
-    any_of,
-    defer,
-)
-from dcrobot.sim.process import Process
-from dcrobot.sim.resources import (
-    Container,
-    PriorityResource,
-    Request,
-    Resource,
-    Store,
-)
-from dcrobot.sim.rng import RandomStreams, make_rng, trial_rng, trial_seed
+from dcrobot.sim.resources import Container, PriorityResource, Resource, Store
+from dcrobot.sim.rng import RandomStreams, make_rng
 
 __all__ = [
     "Simulation",
-    "Event",
-    "Timeout",
-    "Condition",
-    "ConditionValue",
-    "Process",
     "Interrupt",
     "SimulationError",
     "EventAlreadyTriggered",
     "Resource",
     "PriorityResource",
-    "Request",
     "Store",
     "Container",
     "RandomStreams",
     "make_rng",
-    "trial_rng",
-    "trial_seed",
-    "all_of",
-    "any_of",
-    "defer",
-    "NORMAL",
-    "URGENT",
 ]

@@ -2,11 +2,7 @@
 
 from dcrobot.telemetry.detectors import DetectorParams, LinkDetector
 from dcrobot.telemetry.events import Symptom, TelemetryEvent
-from dcrobot.telemetry.localization import (
-    LocalizationReport,
-    ProbeLocalizer,
-    ProbeObservation,
-)
+from dcrobot.telemetry.localization import ProbeLocalizer
 from dcrobot.telemetry.monitor import TelemetryMonitor
 
 __all__ = [
@@ -16,6 +12,4 @@ __all__ = [
     "LinkDetector",
     "TelemetryMonitor",
     "ProbeLocalizer",
-    "ProbeObservation",
-    "LocalizationReport",
 ]

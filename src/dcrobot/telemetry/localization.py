@@ -19,11 +19,8 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, List, Optional, Sequence, Set
 
-import numpy as np
-
 from dcrobot.network.inventory import Fabric
 from dcrobot.network.link import Link
-from dcrobot.traffic.routing import EcmpRouter
 
 
 @dataclasses.dataclass(frozen=True)
@@ -46,10 +43,6 @@ class LocalizationReport:
     observations: int
     failing_paths: int
 
-    @property
-    def localized(self) -> bool:
-        return len(self.suspects) > 0
-
     def __repr__(self) -> str:
         return (f"<LocalizationReport suspects={self.suspects} "
                 f"from {self.observations} probes>")
@@ -58,12 +51,9 @@ class LocalizationReport:
 class ProbeLocalizer:
     """Sends probes across the fabric and infers faulty links."""
 
-    def __init__(self, fabric: Fabric, router: Optional[EcmpRouter] = None,
-                 rng: Optional[np.random.Generator] = None,
+    def __init__(self, fabric: Fabric,
                  loss_failure_threshold: float = 1e-4) -> None:
         self.fabric = fabric
-        self.router = router or EcmpRouter(fabric)
-        self.rng = rng if rng is not None else np.random.default_rng(0)
         self.loss_failure_threshold = loss_failure_threshold
         self._graph = None
         self._graph_key = None
@@ -180,9 +170,3 @@ class ProbeLocalizer:
             suspects=suspects, exonerated=exonerated,
             observations=len(observations),
             failing_paths=len(failing))
-
-    def localize_between(self, endpoints: Sequence[str],
-                         probes_per_pair: int = 2) -> LocalizationReport:
-        """Probe a mesh and localize in one call."""
-        return self.localize(self.probe_mesh(endpoints,
-                                             probes_per_pair))

@@ -134,14 +134,6 @@ class TelemetryMonitor:
         """A component reports itself alive at ``now``."""
         self._heartbeats[source_id] = now
 
-    def heartbeat_age(self, source_id: str,
-                      now: float) -> Optional[float]:
-        """Seconds since the source's last beat; None if never seen."""
-        last = self._heartbeats.get(source_id)
-        if last is None:
-            return None
-        return now - last
-
     def stale_sources(self, now: float, timeout: float) -> List[str]:
         """Registered sources silent for at least ``timeout`` seconds
         (sorted by id for deterministic watchdog iteration)."""

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import dataclasses
-from collections import defaultdict
 from typing import TYPE_CHECKING, Dict, List, Optional
 
 from dcrobot.network.inventory import Fabric
@@ -44,15 +43,8 @@ class Topology:
                 f"{len(self.fabric.links)}>")
 
     @property
-    def switch_count(self) -> int:
-        return len(self.fabric.switches)
-
-    @property
     def link_count(self) -> int:
         return len(self.fabric.links)
-
-    def role_of(self, switch_id: str) -> SwitchRole:
-        return self.fabric.switches[switch_id].role
 
     def switches(self, role: Optional[SwitchRole] = None) -> List[str]:
         """Switch ids, optionally filtered by role."""
@@ -84,11 +76,3 @@ class Topology:
         attach = [sid for role in attach_roles
                   for sid in self.switches_by_role.get(role, [])]
         return [(a, b) for a in attach for b in attach if a != b]
-
-
-def roles_from_fabric(fabric: Fabric) -> Dict[SwitchRole, List[str]]:
-    """Group a fabric's switches by their role attribute."""
-    grouped: Dict[SwitchRole, List[str]] = defaultdict(list)
-    for switch in fabric.switches.values():
-        grouped[switch.role].append(switch.id)
-    return dict(grouped)

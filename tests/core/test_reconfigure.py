@@ -158,3 +158,41 @@ def test_connectivity_protection_orders_removals():
         else:
             graph.remove_edge(a, b)
         assert nx.is_connected(nx.Graph(graph))
+
+
+def test_planning_tests_each_removal_on_the_live_graph(monkeypatch):
+    # Rewire a Jellyfish into another of the same size.  Each candidate
+    # removal is tested on the planner's own graph: no copy of it, and
+    # one connectivity check plus one path query per candidate.
+    import networkx as nx
+    import networkx.convert
+
+    from dcrobot.topology.jellyfish import build_jellyfish
+
+    counts = {"copies": 0, "is_connected": 0, "has_path": 0}
+
+    def counted(name, function):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return function(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(networkx.convert, "to_networkx_graph",
+                        counted("copies",
+                                networkx.convert.to_networkx_graph))
+    monkeypatch.setattr(nx, "is_connected",
+                        counted("is_connected", nx.is_connected))
+    monkeypatch.setattr(nx, "has_path", counted("has_path", nx.has_path))
+
+    live = build_jellyfish(rng=np.random.default_rng(1))
+    goal = build_jellyfish(rng=np.random.default_rng(101))
+    rename = dict(zip(goal.fabric.switches, live.fabric.switches))
+    target = [(rename[a], rename[b])
+              for a, b in (link.endpoint_ids
+                           for link in goal.fabric.links.values())]
+    plan = plan_rewiring(live.fabric, target)
+
+    assert plan.infeasible == []
+    assert plan.removals == plan.additions > 0
+    assert counts["copies"] == 0
+    assert 0 < counts["is_connected"] == counts["has_path"]

@@ -47,7 +47,9 @@ def test_jittered_backoff_stays_within_declared_bounds():
     policy = RetryPolicy(max_retries=4, jitter_fraction=0.25)
     rng = np.random.default_rng(123)
     for retry_index in range(4):
-        low, high = policy.jitter_bounds(retry_index)
+        base = policy.backoff_seconds(retry_index)
+        low = base * (1.0 - policy.jitter_fraction)
+        high = base * (1.0 + policy.jitter_fraction)
         for _ in range(50):
             delay = policy.jittered_backoff(retry_index, rng)
             assert low <= delay <= high

@@ -33,12 +33,11 @@ def test_quiet_window_timing():
     assert scheduler.seconds_until_quiet_window(0.0) == HOUR
     # 02:00: inside the window.
     assert scheduler.seconds_until_quiet_window(2 * HOUR) == 0.0
-    assert scheduler.in_quiet_window(2 * HOUR)
     # 06:00: wait until tomorrow 01:00.
     assert scheduler.seconds_until_quiet_window(6 * HOUR) \
         == pytest.approx(19 * HOUR)
     # Next day 02:00 is again inside.
-    assert scheduler.in_quiet_window(26 * HOUR)
+    assert scheduler.seconds_until_quiet_window(26 * HOUR) == 0.0
 
 
 def test_drain_and_undrain_cycle(world):

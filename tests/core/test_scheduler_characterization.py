@@ -45,10 +45,10 @@ def test_quiet_window_boundaries_are_half_open():
         quiet_window_start_hour=1, quiet_window_end_hour=5))
     # [start, end): the opening instant is inside, the closing instant
     # is not.
-    assert scheduler.in_quiet_window(1 * HOUR)
-    assert not scheduler.in_quiet_window(5 * HOUR)
+    assert scheduler.seconds_until_quiet_window(1 * HOUR) == 0.0
+    assert scheduler.seconds_until_quiet_window(5 * HOUR) != 0.0
     # One tick before closing is still inside.
-    assert scheduler.in_quiet_window(5 * HOUR - 1.0)
+    assert scheduler.seconds_until_quiet_window(5 * HOUR - 1.0) == 0.0
     # At the closing instant the wait wraps to tomorrow's window.
     assert scheduler.seconds_until_quiet_window(5 * HOUR) \
         == SECONDS_PER_DAY - 5 * HOUR + 1 * HOUR
@@ -58,9 +58,9 @@ def test_quiet_window_supports_fractional_hours_and_midnight_end():
     scheduler = ImpactAwareScheduler(config=SchedulerConfig(
         quiet_window_start_hour=22.5, quiet_window_end_hour=24))
     assert scheduler.seconds_until_quiet_window(0.0) == 22.5 * HOUR
-    assert scheduler.in_quiet_window(23 * HOUR)
+    assert scheduler.seconds_until_quiet_window(23 * HOUR) == 0.0
     # Midnight itself belongs to the next day, outside the window.
-    assert not scheduler.in_quiet_window(24 * HOUR)
+    assert scheduler.seconds_until_quiet_window(24 * HOUR) != 0.0
 
 
 def test_quiet_window_uses_time_of_day_not_absolute_time():
@@ -68,7 +68,7 @@ def test_quiet_window_uses_time_of_day_not_absolute_time():
         quiet_window_start_hour=1, quiet_window_end_hour=5))
     for day in (0, 1, 7, 365):
         base = day * SECONDS_PER_DAY
-        assert scheduler.in_quiet_window(base + 2 * HOUR)
+        assert scheduler.seconds_until_quiet_window(base + 2 * HOUR) == 0.0
         assert scheduler.seconds_until_quiet_window(base) == HOUR
 
 

@@ -2,8 +2,8 @@
 
 import pytest
 
-from dcrobot.experiments import REGISTRY
 from dcrobot.experiments.__main__ import (
+    REGISTRY,
     build_parser,
     execution_from_args,
     main,
@@ -87,7 +87,7 @@ def test_cli_no_cache_runs(tmp_path, capsys):
 
 
 def test_list_flag_prints_ids_with_descriptions(capsys):
-    from dcrobot.experiments import DESCRIPTIONS
+    from dcrobot.experiments.__main__ import DESCRIPTIONS
 
     assert main(["--list"]) == 0
     output = capsys.readouterr().out
@@ -191,7 +191,7 @@ def test_warns_when_experiment_returns_no_exports(tmp_path,
 def test_run_experiment_observe_requires_support():
     import pytest as _pytest
 
-    from dcrobot.experiments import run_experiment
+    from dcrobot.experiments.__main__ import run_experiment
 
     with _pytest.raises(ValueError, match="does not support"):
         run_experiment("e1", observe=True)

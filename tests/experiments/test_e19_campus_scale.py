@@ -6,7 +6,8 @@ Slow integration: the quick sweep runs full chaos campuses at 1, 2 and
 
 import pytest
 
-from dcrobot.experiments import REGISTRY, e19_campus_scale
+from dcrobot.experiments import e19_campus_scale
+from dcrobot.experiments.__main__ import REGISTRY
 
 pytestmark = pytest.mark.slow
 

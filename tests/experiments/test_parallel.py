@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from dcrobot.experiments import run_experiment
+from dcrobot.experiments.__main__ import run_experiment
 from dcrobot.experiments.parallel import (
     Execution,
     TrialCache,

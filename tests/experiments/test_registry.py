@@ -2,12 +2,12 @@
 
 import pytest
 
-from dcrobot.experiments import (
+from dcrobot.experiments.__main__ import (
     DESCRIPTIONS,
     REGISTRY,
+    main,
     run_experiment,
 )
-from dcrobot.experiments.__main__ import main
 from dcrobot.experiments.result import ExperimentResult
 from dcrobot.metrics import Table
 

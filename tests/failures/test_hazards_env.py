@@ -7,7 +7,6 @@ from dcrobot.failures import (
     SECONDS_PER_YEAR,
     Environment,
     ExponentialHazard,
-    FixedHazard,
     WeibullHazard,
     per_year,
 )
@@ -55,14 +54,6 @@ def test_weibull_validation():
         WeibullHazard(shape=0.0, scale_seconds=10.0)
     with pytest.raises(ValueError):
         WeibullHazard(shape=1.0, scale_seconds=0.0)
-
-
-def test_fixed_hazard(rng):
-    hazard = FixedHazard(42.0)
-    assert hazard.sample(rng) == 42.0
-    assert hazard.mean == 42.0
-    with pytest.raises(ValueError):
-        FixedHazard(0.0)
 
 
 # -- environment ------------------------------------------------------------

@@ -55,7 +55,11 @@ def soak_summary(result):
         "open": sorted(controller.open_incidents),
         "closed_at": [incident.closed_at
                       for incident in controller.closed_incidents],
-        "attempts": controller.total_attempts(),
+        "attempts": sum(
+            incident.attempt_count
+            for incident in (controller.closed_incidents
+                             + controller.unresolved_incidents
+                             + list(controller.open_incidents.values()))),
         "timeouts": controller.timeout_count,
         "retries": controller.retry_count,
         "late_acks": controller.late_ack_count,

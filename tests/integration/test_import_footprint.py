@@ -6,15 +6,21 @@ graph, so the modules that use networkx import it inside the functions
 that build or query one.  This test pins that: a fresh interpreter
 imports the run, shard and service surfaces, runs a chaos world, a
 twin-planned traffic world and a 2-hall campus, builds a served world,
-and must not have loaded any of :data:`HEAVY`.  It then makes the graph
-calls, which must load networkx and answer exactly as they do in this
-process.  Only module presence is checked: no wall clock, no RSS.
+and must not have loaded any of :data:`HEAVY`.  Nor may it have loaded
+an experiment module other than the E17 module it imports itself, or
+:mod:`dcrobot.ml`: the experiment registry lives in the command-line
+module, so the world engine loads no experiment it does not run.  It
+then makes the graph calls, which must load networkx and answer exactly
+as they do in this process.  Only module presence is checked: no wall
+clock, no RSS.
 """
 
 import json
 import os
 import subprocess
 import sys
+
+import pytest
 
 import dcrobot
 
@@ -98,11 +104,19 @@ shard.run_campus(chaos_config(1.0, halls=2), jobs=1)
 service.serve_world(chaos_config(1.0),
                     service.ServiceConfig(admission=None))
 worlds_loaded = [name for name in HEAVY if name in sys.modules]
+experiments_loaded = sorted(
+    name for name in sys.modules
+    if name.startswith("dcrobot.experiments.e")
+    and name != e17.__name__)
+ml_loaded = sorted(name for name in sys.modules
+                   if name.split(".")[:2] == ["dcrobot", "ml"])
 
 %s
 
 answers = graph_answers()
 print(json.dumps({"worlds_loaded": worlds_loaded,
+                  "experiments_loaded": experiments_loaded,
+                  "ml_loaded": ml_loaded,
                   "graphs_loaded_networkx": "networkx" in sys.modules,
                   "answers": answers}))
 """ % (HEAVY, _GRAPH_CALLS)
@@ -116,8 +130,12 @@ def _run_child() -> dict:
     return json.loads(done.stdout.splitlines()[-1])
 
 
-def test_worlds_never_load_networkx_and_graph_calls_still_do():
-    report = _run_child()
+@pytest.fixture(scope="module")
+def report() -> dict:
+    return _run_child()
+
+
+def test_worlds_never_load_networkx_and_graph_calls_still_do(report):
     assert report["worlds_loaded"] == []
     assert report["graphs_loaded_networkx"]
     namespace: dict = {}
@@ -127,3 +145,8 @@ def test_worlds_never_load_networkx_and_graph_calls_still_do():
     assert expected["connected"] is True
     assert expected["jellyfish_pairs"]
     assert expected["rewire_steps"]
+
+
+def test_worlds_load_no_experiment_they_do_not_run(report):
+    assert report["experiments_loaded"] == []
+    assert report["ml_loaded"] == []

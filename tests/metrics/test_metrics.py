@@ -11,8 +11,6 @@ from dcrobot.metrics import (
     CostParams,
     Table,
     amplification_from_outcomes,
-    availability_from_incidents,
-    downtime_seconds,
     format_duration,
     link_availability,
     mtbf_seconds,
@@ -59,22 +57,12 @@ def test_nines_computation(world):
 
 
 def test_downtime_seconds(world):
-    world.links[0].set_state(100.0, LinkState.DOWN)
-    world.links[0].set_state(400.0, LinkState.UP)
-    assert downtime_seconds(world.fabric, 0.0, 1000.0) \
+    link = world.links[0]
+    link.set_state(100.0, LinkState.DOWN)
+    link.set_state(400.0, LinkState.UP)
+    summary = link_availability(world.fabric, 0.0, 1000.0)
+    assert (1.0 - summary.per_link[link.id]) * 1000.0 \
         == pytest.approx(300.0)
-
-
-def test_availability_from_incidents():
-    # 10 incidents x 1h MTTR over 100 links x 30 days.
-    availability = availability_from_incidents(
-        repair_times=[HOUR] * 10, incident_count=10,
-        horizon_seconds=30 * DAY, link_count=100)
-    expected = 1.0 - 10 * HOUR / (100 * 30 * DAY)
-    assert availability == pytest.approx(expected)
-    assert availability_from_incidents([], 0, DAY, 10) == 1.0
-    with pytest.raises(ValueError):
-        availability_from_incidents([1.0], 1, DAY, 0)
 
 
 # -- repair times -----------------------------------------------------------------

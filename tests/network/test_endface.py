@@ -145,5 +145,6 @@ def test_effectiveness_validation(rng):
 
 def test_apc_polish_angle():
     face = EndFace(polish=EndFacePolish.APC)
-    assert face.polish.angle_degrees == 8.0
-    assert EndFacePolish.UPC.angle_degrees == 0.0
+    # The polish's value is its angle in degrees.
+    assert face.polish.value == 8.0
+    assert EndFacePolish.UPC.value == 0.0

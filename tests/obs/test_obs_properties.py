@@ -45,15 +45,6 @@ def test_histogram_bucket_counts_sum_to_observation_count(
 
 @given(uppers=bounds, values=observations)
 @settings(max_examples=120, deadline=None)
-def test_histogram_cumulative_counts_are_monotone(uppers, values):
-    histogram = _fill("h", uppers, values)
-    cumulative = histogram.cumulative_counts()
-    assert all(a <= b for a, b in zip(cumulative, cumulative[1:]))
-    assert cumulative[-1] == len(values)
-
-
-@given(uppers=bounds, values=observations)
-@settings(max_examples=120, deadline=None)
 def test_histogram_every_observation_lands_in_its_bucket(
         uppers, values):
     histogram = _fill("h", uppers, values)

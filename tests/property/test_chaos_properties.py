@@ -52,7 +52,9 @@ def test_backoff_schedule_is_monotone_and_capped(policy):
 def test_jittered_backoff_stays_in_bounds_for_any_seed(
         policy, seed, retry_index):
     rng = np.random.default_rng(seed)
-    low, high = policy.jitter_bounds(retry_index)
+    base = policy.backoff_seconds(retry_index)
+    low = base * (1.0 - policy.jitter_fraction)
+    high = base * (1.0 + policy.jitter_fraction)
     for _ in range(5):
         delay = policy.jittered_backoff(retry_index, rng)
         assert low <= delay <= high

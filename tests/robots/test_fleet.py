@@ -124,7 +124,9 @@ def test_scope_limits_coverage():
     fleet = make_fleet(world, scope=MobilityScope.ROW,
                        home_racks=[home])
     # Switch A lives in row 0; a row-1-scoped fleet cannot reach it.
-    assert fleet.coverage_fraction() == pytest.approx(1 / 3)
+    layout = world.fabric.layout
+    assert [rack_id for rack_id in layout.racks if fleet.covers(rack_id)] \
+        == [rack.id for rack in layout.racks.values() if rack.row == 1]
     order = WorkOrder(world.links[0].id, RepairAction.RESEAT,
                       created_at=0.0)
     outcome = world.sim.run(until=fleet.submit(order))

@@ -59,7 +59,6 @@ def test_register_is_idempotent_and_record_for_finds_it():
     assert model.register(unit) is record
     assert model.record_for("m-0") is record
     assert model.record_for("nope") is None
-    assert model.in_service_ids() == ["m-0"]
 
 
 def test_in_service_excludes_dead_lost_and_quarantined():
@@ -180,10 +179,9 @@ def test_is_flaky_counts_only_faults_inside_the_window():
 def test_monitor_heartbeats_age_and_staleness():
     world = make_world()
     monitor = TelemetryMonitor(world.fabric)
-    assert monitor.heartbeat_age("m-0", now=10.0) is None
+    assert monitor.stale_sources(now=10.0, timeout=30.0) == []
     monitor.record_heartbeat("m-0", 10.0)
     monitor.record_heartbeat("m-1", 40.0)
-    assert monitor.heartbeat_age("m-0", now=50.0) == pytest.approx(40.0)
     assert monitor.stale_sources(now=50.0, timeout=30.0) == ["m-0"]
     assert monitor.stale_sources(now=250.0, timeout=30.0) \
         == ["m-0", "m-1"]

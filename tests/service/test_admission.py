@@ -105,19 +105,6 @@ def test_query_and_command_buckets_are_independent():
                for _ in range(3))
 
 
-def test_latency_lands_in_the_histogram():
-    clock = FakeClock()
-    admission = controller(clock)
-    admission.observe_latency(RequestKind.QUERY, 0.002)
-    admission.observe_latency(RequestKind.QUERY, 0.3)
-    admission.observe_latency(RequestKind.COMMAND, 0.01)
-    histogram = admission.metrics.histogram(
-        "dcrobot_service_request_latency_seconds")
-    assert histogram.count(cls="query") == 2
-    assert histogram.sum(cls="query") == pytest.approx(0.302)
-    assert histogram.count(cls="command") == 1
-
-
 def test_config_rejects_negative_rates():
     with pytest.raises(ValueError):
         AdmissionConfig(query_rate=-1.0)

@@ -41,9 +41,9 @@ def test_localize_single_down_link(topo):
     localizer = ProbeLocalizer(topo.fabric)
     victim = list(topo.fabric.links.values())[0]
     victim.set_state(1.0, LinkState.DOWN)
-    report = localizer.localize_between(leaves(topo),
-                                        probes_per_pair=2)
-    assert report.localized
+    report = localizer.localize(
+        localizer.probe_mesh(leaves(topo), probes_per_pair=2))
+    assert report.suspects
     assert victim.id in report.suspects
     # Healthy links on passing paths are exonerated, not suspected.
     assert not set(report.suspects) - {victim.id} & report.exonerated
@@ -53,7 +53,7 @@ def test_localize_exonerates_healthy_links(topo):
     localizer = ProbeLocalizer(topo.fabric)
     victim = list(topo.fabric.links.values())[0]
     victim.set_state(1.0, LinkState.DOWN)
-    report = localizer.localize_between(leaves(topo))
+    report = localizer.localize(localizer.probe_mesh(leaves(topo)))
     assert victim.id not in report.exonerated
     assert len(report.exonerated) >= 2
 
@@ -64,16 +64,16 @@ def test_localize_two_simultaneous_faults(topo):
     victims = {links[0].id, links[-1].id}
     links[0].set_state(1.0, LinkState.DOWN)
     links[-1].set_state(1.0, LinkState.DOWN)
-    report = localizer.localize_between(leaves(topo),
-                                        probes_per_pair=2)
+    report = localizer.localize(
+        localizer.probe_mesh(leaves(topo), probes_per_pair=2))
     assert victims <= set(report.suspects) | report.exonerated
     assert victims & set(report.suspects)
 
 
 def test_healthy_fabric_no_suspects(topo):
     localizer = ProbeLocalizer(topo.fabric)
-    report = localizer.localize_between(leaves(topo))
-    assert not report.localized
+    report = localizer.localize(localizer.probe_mesh(leaves(topo)))
+    assert not report.suspects
     assert report.failing_paths == 0
 
 
@@ -82,8 +82,8 @@ def test_localization_on_fattree():
     localizer = ProbeLocalizer(topo.fabric)
     victim = list(topo.fabric.links.values())[7]
     victim.set_state(1.0, LinkState.DOWN)
-    report = localizer.localize_between(topo.switches(SwitchRole.TOR),
-                                        probes_per_pair=2)
+    report = localizer.localize(localizer.probe_mesh(
+        topo.switches(SwitchRole.TOR), probes_per_pair=2))
     # The victim may not be on any shortest probe path; if any path
     # failed, the suspect set must be small and include only
     # non-exonerated links.

@@ -30,14 +30,14 @@ def test_fattree_counts_k4(rng):
     assert len(topo.switches(SwitchRole.CORE)) == 4
     assert len(topo.switches(SwitchRole.AGG)) == 8
     assert len(topo.switches(SwitchRole.TOR)) == 8
-    assert topo.switch_count == 20
+    assert len(topo.switches()) == 20
     # k^3/4 = 16 edge-agg + 16 agg-core links.
     assert topo.link_count == 32
 
 
 def test_fattree_counts_k8(rng):
     topo = build_fattree(k=8, rng=rng)
-    assert topo.switch_count == 5 * 8 * 8 // 4  # 80
+    assert len(topo.switches()) == 5 * 8 * 8 // 4  # 80
     assert topo.link_count == 2 * (8 ** 3) // 4  # 256
 
 
@@ -143,7 +143,7 @@ def test_xpander_edges_regularity(rng):
 
 def test_xpander_build_and_connectivity(rng):
     topo = build_xpander(degree=4, lift=4, rng=rng)
-    assert topo.switch_count == 20
+    assert len(topo.switches()) == 20
     assert topo.link_count == 20 * 4 // 2
     assert topo.is_connected()
 

@@ -14,7 +14,7 @@ from dcrobot.topology import (
     build_jellyfish,
     compute_smi,
 )
-from dcrobot.topology.base import Topology, roles_from_fabric
+from dcrobot.topology.base import Topology
 
 
 def small_topology(model_count=24, bundle_capacity=24, seed=3):
@@ -33,7 +33,8 @@ def small_topology(model_count=24, bundle_capacity=24, seed=3):
     for _ in range(6):
         fabric.connect(a.id, b.id)
     return Topology(name="pair", fabric=fabric, params={},
-                    switches_by_role=roles_from_fabric(fabric), host_ids=[])
+                    switches_by_role={SwitchRole.TOR: [a.id, b.id]},
+                    host_ids=[])
 
 
 def test_smi_in_unit_interval():

@@ -21,7 +21,7 @@ from dcrobot.network import (
     SwitchRole,
     generate_model_catalog,
 )
-from dcrobot.topology.base import Topology, roles_from_fabric
+from dcrobot.topology.base import Topology
 from dcrobot.topology.smi import SmiTracker, compute_smi
 
 FACTORS = ("reach", "occlusion", "serviceability", "uniformity",
@@ -52,7 +52,8 @@ def make_topology(seed=3, pairs=3, links_per_pair=4,
             fabric.connect(a.id, b.id)
     topology = Topology(name="smi-incremental", fabric=fabric,
                         params={},
-                        switches_by_role=roles_from_fabric(fabric),
+                        switches_by_role={
+                            SwitchRole.TOR: [s.id for s in switches]},
                         host_ids=[])
     return topology, switches
 

@@ -62,18 +62,6 @@ def test_sample_batch_matches_scalar_blocked_stream():
         assert flow.size_bytes == sizes[i]
 
 
-def test_sample_flow_scalar_path_matches_batch_semantics():
-    """The single-flow scalar sampler draws the same quantities in the
-    same per-flow order; one flow drawn scalar equals a batch of one."""
-    endpoints = [f"ep-{i}" for i in range(6)]
-    scalar = FlowGenerator(endpoints,
-                           rng=np.random.default_rng(11)).sample_flow()
-    [batched] = FlowGenerator(endpoints,
-                              rng=np.random.default_rng(11)) \
-        .sample_batch(1)
-    assert scalar == batched
-
-
 def test_sample_arrays_and_batch_share_one_stream():
     endpoints = [f"ep-{i}" for i in range(5)]
     ids, src, dst, sizes = FlowGenerator(

@@ -48,7 +48,10 @@ TARGETS = ("src/dcrobot/core", "src/dcrobot/chaos",
            "src/dcrobot/telemetry/localization.py",
            "src/dcrobot/metrics/mttr.py",
            "src/dcrobot/metrics/report.py",
-           "src/dcrobot/sim/batch.py")
+           "src/dcrobot/sim/batch.py",
+           "src/dcrobot/experiments/runner.py",
+           "src/dcrobot/experiments/parallel.py",
+           "src/dcrobot/experiments/__main__.py")
 
 
 def _target_files():

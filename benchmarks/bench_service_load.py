@@ -2,7 +2,7 @@
 
 One serve window, two arms, identical offered load (a calibrated
 multiple of measured deep-query capacity; every query re-verifies the
-incremental SMI against the full rescan, so the parity oracle is
+served SMI against the full rescan, so the parity oracle is
 load-bearing).  Four claims are enforced:
 
 * **tail protection** — the admission-controlled arm's served p99 is

@@ -85,12 +85,9 @@ def _contact_trial(params: Dict, seed: int) -> Dict:
 def _drain_trial(params: Dict, seed: int) -> Dict:
     """Touch rounds with/without impact-aware draining of announced
     contacts; count disturbances that hit undrained routed links."""
-    from dcrobot.traffic.routing import EcmpRouter
-
     drain = params["drain"]
     rounds = params["rounds"]
-    fabric, links, _health, cascade = _bundle_world(16, seed)
-    EcmpRouter(fabric)
+    _fabric, links, _health, cascade = _bundle_world(16, seed)
     hits = 0
     for index in range(rounds):
         target = links[index % len(links)]

@@ -313,7 +313,7 @@ def run(quick: bool = True, seed: int = 0,
     total_failures = sum(c.parity_failures for _, c in reports) \
         + sum(u.parity_failures for u, _ in reports)
     result.note(
-        f"every served query re-verified the incremental SMI against "
+        f"every served query re-verified the served SMI against "
         f"the full rescan: {total_audits} audits, {total_failures} "
         f"divergences")
     return result

@@ -42,7 +42,6 @@ class EnergyParams:
     robot_idle_watts: float = 8.0
     #: Facility overhead multiplier (cooling etc.).
     pue: float = 1.3
-    grid_kg_co2_per_kwh: float = 0.35
 
     def __post_init__(self) -> None:
         if self.pue < 1.0:

@@ -11,7 +11,6 @@ systems").
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Optional
 
 import numpy as np
@@ -32,28 +31,22 @@ FEATURE_NAMES = (
 )
 
 
-@dataclasses.dataclass
-class FeatureConfig:
-    """Sensor-noise and margin-model constants."""
-
-    #: Healthy optical margin (dB) of a fresh link.
-    base_margin_db: float = 3.5
-    #: dB of margin lost per unit of worst-core contamination.
-    dirt_margin_penalty_db: float = 6.0
-    #: dB of margin lost per unit of contact oxidation.
-    oxidation_margin_penalty_db: float = 2.5
-    #: Gaussian read noise of the DDM sensor (dB).
-    margin_noise_db: float = 0.25
+#: Healthy optical margin (dB) of a fresh link.
+BASE_MARGIN_DB = 3.5
+#: dB of margin lost per unit of worst-core contamination.
+DIRT_MARGIN_PENALTY_DB = 6.0
+#: dB of margin lost per unit of contact oxidation.
+OXIDATION_MARGIN_PENALTY_DB = 2.5
+#: Gaussian read noise of the DDM sensor (dB).
+MARGIN_NOISE_DB = 0.25
 
 
 class FeatureExtractor:
     """Computes observable feature vectors for links."""
 
     def __init__(self, environment: Environment,
-                 config: Optional[FeatureConfig] = None,
                  rng: Optional[np.random.Generator] = None) -> None:
         self.environment = environment
-        self.config = config or FeatureConfig()
         self.rng = rng if rng is not None else np.random.default_rng(0)
 
     def rx_margin_db(self, link: Link) -> float:
@@ -62,17 +55,16 @@ class FeatureExtractor:
         Physically grounded in the hidden state but observed through a
         noisy sensor — the model never sees the state itself.
         """
-        config = self.config
         dirt = link.cable.worst_contamination
         for unit in link.transceivers():
             if unit.receptacle is not None:
                 dirt = max(dirt, unit.receptacle.worst_contamination)
         oxidation = max(link.transceiver_a.oxidation,
                         link.transceiver_b.oxidation)
-        margin = (config.base_margin_db
-                  - config.dirt_margin_penalty_db * dirt
-                  - config.oxidation_margin_penalty_db * oxidation)
-        return float(margin + self.rng.normal(0.0, config.margin_noise_db))
+        margin = (BASE_MARGIN_DB
+                  - DIRT_MARGIN_PENALTY_DB * dirt
+                  - OXIDATION_MARGIN_PENALTY_DB * oxidation)
+        return float(margin + self.rng.normal(0.0, MARGIN_NOISE_DB))
 
     def extract(self, link: Link, now: float) -> np.ndarray:
         """The feature vector (see :data:`FEATURE_NAMES`) at time now."""

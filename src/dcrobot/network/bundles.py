@@ -8,7 +8,7 @@ harder perception/grasping becomes for a robot (§3.3.3).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 
 class CableBundle:
@@ -46,31 +46,15 @@ class CableBundle:
 
 
 class BundleRegistry:
-    """Looks up the bundle a cable belongs to.
-
-    Listeners subscribed via :meth:`subscribe` observe membership
-    changes *after* they land (events ``"assigned"``/``"unassigned"``
-    with the cable and bundle ids) — the hook the incremental SMI
-    tracker uses to keep its occlusion/granularity aggregates current
-    without rescanning the registry.
-    """
+    """Looks up the bundle a cable belongs to."""
 
     def __init__(self) -> None:
         self.bundles: Dict[str, CableBundle] = {}
         self._bundle_of_cable: Dict[str, str] = {}
-        self._listeners: List[Callable] = []
-
-    def subscribe(self, listener: Callable) -> Callable:
-        """Register ``listener(event, cable_id=..., bundle_id=...)``."""
-        self._listeners.append(listener)
-        return listener
-
-    def unsubscribe(self, listener: Callable) -> None:
-        self._listeners.remove(listener)
-
-    def _notify(self, event: str, **info) -> None:
-        for listener in self._listeners:
-            listener(event, **info)
+        #: Bumped by every :meth:`assign` and effective :meth:`unassign`:
+        #: with ``FabricState.generation`` it keys what depends on
+        #: bundle membership (:class:`~dcrobot.topology.smi.SmiTracker`).
+        self.membership = 0
 
     def create(self, bundle_id: str) -> CableBundle:
         if bundle_id in self.bundles:
@@ -84,17 +68,13 @@ class BundleRegistry:
             raise ValueError(f"{cable_id} already bundled")
         self.bundles[bundle_id].add(cable_id)
         self._bundle_of_cable[cable_id] = bundle_id
-        if self._listeners:
-            self._notify("assigned", cable_id=cable_id,
-                         bundle_id=bundle_id)
+        self.membership += 1
 
     def unassign(self, cable_id: str) -> None:
         bundle_id = self._bundle_of_cable.pop(cable_id, None)
         if bundle_id is not None:
             self.bundles[bundle_id].remove(cable_id)
-            if self._listeners:
-                self._notify("unassigned", cable_id=cable_id,
-                             bundle_id=bundle_id)
+            self.membership += 1
 
     def bundle_of(self, cable_id: str) -> Optional[CableBundle]:
         bundle_id = self._bundle_of_cable.get(cable_id)

@@ -59,7 +59,7 @@ Design rules:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -177,37 +177,10 @@ class FabricState:
         self._flap_inserts = 0
         #: The row-change log behind :meth:`row_changes`.
         self._row_log: List[int] = []
-        #: Structural-event subscribers (zero cost while empty); see
-        #: :meth:`subscribe_structure`.
-        self._listeners: List[Callable] = []
 
     def __repr__(self) -> str:
         return (f"<FabricState links={self.n_links} "
                 f"capacity={self._capacity} gen={self.generation}>")
-
-    # -- structural events ----------------------------------------------------
-
-    def subscribe_structure(self, listener: Callable) -> Callable:
-        """Register ``listener(event, **info)`` for structural changes.
-
-        Events: ``link-added(link)``, ``link-removed(link)``,
-        ``xcvr-replaced(link, side, old, new)``,
-        ``cable-replaced(link, old, new)`` — fired *after* the columns
-        and ``generation`` reflect the change, which is what lets
-        subscribers (e.g. :class:`dcrobot.topology.smi.SmiTracker`)
-        key their aggregates on the generation counter.  Returns the
-        listener so callers can unsubscribe it later.
-        """
-        self._listeners.append(listener)
-        return listener
-
-    def unsubscribe_structure(self, listener: Callable) -> None:
-        if listener in self._listeners:
-            self._listeners.remove(listener)
-
-    def _notify(self, event: str, **info) -> None:
-        for listener in self._listeners:
-            listener(event, **info)
 
     # -- forking -------------------------------------------------------------
 
@@ -219,13 +192,13 @@ class FabricState:
         and copies of every column, the flap log, ``links_by_row``,
         ``index_of`` and the lid map, so a write on either side stays
         on that side and a dropped fork is freed with its last
-        reference.  Consumer columns and structure listeners stay with
-        the parent.  The row-change log is the fork's own: a consumer
-        of either side never sees the other's writes, and the fork's
-        first :meth:`row_changes` is a rescan.  The fork is a plain
-        data twin: the bound view objects in ``links_by_row`` still
-        point at the parent, so mutate a fork column-wise, never
-        through object setters.
+        reference.  Consumer columns stay with the parent.  The
+        row-change log is the fork's own: a consumer of either side
+        never sees the other's writes, and the fork's first
+        :meth:`row_changes` is a rescan.  The fork is a plain data
+        twin: the bound view objects in ``links_by_row`` still point
+        at the parent, so mutate a fork column-wise, never through
+        object setters.
         """
         child = FabricState.__new__(FabricState)
         child._capacity = self._capacity
@@ -243,7 +216,6 @@ class FabricState:
         child.index_of = dict(self.index_of)
         child._row_of_lid = list(self._row_of_lid)
         child._columns = []
-        child._listeners = []
         for name in _ARRAY_ATTRS:
             setattr(child, name, getattr(self, name).copy())
         return child
@@ -317,8 +289,6 @@ class FabricState:
         self._bind_port(row, 1, link.port_b)
         self.generation += 1
         self.route_generation += 1
-        if self._listeners:
-            self._notify("link-added", link=link)
         return row
 
     def _replay_history(self, row: int, lid: int, link) -> None:
@@ -439,8 +409,6 @@ class FabricState:
         self.n_links = last
         self.generation += 1
         self.route_generation += 1
-        if self._listeners:
-            self._notify("link-removed", link=link)
 
     def _point_row(self, link, row: int) -> None:
         """Re-aim a moved link and all its bound components at ``row``."""
@@ -467,9 +435,6 @@ class FabricState:
         self._bind_unit(row, side_index, new)
         self.generation += 1
         self.route_generation += 1
-        if self._listeners:
-            self._notify("xcvr-replaced", link=link, side=side,
-                         old=old, new=new)
 
     def rebind_cable(self, link, old, new) -> None:
         """Swap the bound cable (replacement repair)."""
@@ -481,9 +446,6 @@ class FabricState:
         self._bind_cable(row, new)
         self.generation += 1
         self.route_generation += 1
-        if self._listeners:
-            self._notify("cable-replaced", link=link, old=old,
-                         new=new)
 
     # -- the state timeline ---------------------------------------------------
 

@@ -17,8 +17,8 @@ The view is fed incrementally:
   refresh (never a rescan);
 * **link-state counts** — one vectorized ``bincount`` over the
   columnar :class:`~dcrobot.network.state.FabricState` state codes;
-* **SMI** — the incremental :class:`~dcrobot.topology.smi.SmiTracker`
-  (S18), O(changed links) since the last structural event;
+* **SMI** — the hall's :class:`~dcrobot.topology.smi.SmiTracker`
+  (S18), which rescans only after a structural change;
 * **external telemetry** — last-report-per-source materialized from
   the ingest stream (:meth:`record_external`), never touching the sim.
 

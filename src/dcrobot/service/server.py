@@ -63,7 +63,7 @@ from dcrobot.topology.smi import SmiTracker, compute_smi
 __all__ = ["ServiceConfig", "ServiceOverloadError", "TelemetryReport",
            "MaintenanceService", "ServedWorld", "serve_world"]
 
-#: SMI audit tolerance: incremental tracker vs full rescan.
+#: SMI audit tolerance: served (memoized) value vs a fresh rescan.
 SMI_ATOL = 1e-12
 
 
@@ -258,8 +258,9 @@ class MaintenanceService:
 
     async def smi(self, hall: int = 0,
                   audit: bool = False) -> Optional[float]:
-        """The hall's incremental SMI; ``audit=True`` re-runs the full
-        :func:`compute_smi` rescan and holds parity to 1e-12."""
+        """The hall's SMI from its read model; ``audit=True`` re-runs
+        the full :func:`compute_smi` rescan and holds parity to
+        1e-12."""
         started = self.clock()
         self._admit(RequestKind.QUERY)
         value = self._hall(hall).smi()
@@ -284,7 +285,7 @@ class MaintenanceService:
         oracle = compute_smi(self.worlds[hall].topology).smi
         if abs(value - oracle) > SMI_ATOL:
             raise ReadModelParityError(
-                f"hall {hall} incremental SMI {value!r} diverged "
+                f"hall {hall} served SMI {value!r} diverged "
                 f"from rescan {oracle!r}")
 
     def _audited(self, check) -> None:

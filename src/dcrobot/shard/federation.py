@@ -15,8 +15,7 @@ wall:
 * **metrics** — per-shard S15 metrics snapshots merge associatively
   into one campus snapshot;
 * **SMI** — campus-wide SMI is the link-weighted mean of the per-hall
-  ``SmiTracker`` values plus the boundary shard's live-fraction
-  aggregate.
+  SMI values plus the boundary shard's live-fraction aggregate.
 
 Everything here runs on the dedicated ``seed + 16`` campus substream
 and never reads hall internals, so the schedule is identical whether

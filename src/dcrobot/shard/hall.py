@@ -4,8 +4,8 @@ A :class:`HallShard` wraps exactly the stack :func:`build_world`
 assembles — one ``FabricState`` + optional ``TrafficState``, its own
 ``Simulation`` clock, controller, chaos, journal/leadership machinery
 — under a hall-local seed, plus a per-shard
-:class:`~dcrobot.topology.smi.SmiTracker` so campus SMI stays
-incremental.  Halls share *nothing*: no arrays, no RNG streams, no
+:class:`~dcrobot.topology.smi.SmiTracker` that the hall's served read
+model shares.  Halls share *nothing*: no arrays, no RNG streams, no
 event heaps.  That is the isolation the campus battery proves, and
 what lets a full chaos run be bounded by the slowest shard instead of
 the sum.
@@ -100,9 +100,7 @@ class HallShard:
         if self.result is None:
             started = time.perf_counter()
             self.result = build_world(self.config)
-            # Event-subscribed and RNG-free: the tracker observes
-            # structural changes without touching any hall stream, so
-            # attaching it cannot perturb parity.
+            # RNG-free and read-only, so it cannot perturb parity.
             self.smi_tracker = SmiTracker(self.result.topology)
             self.build_wall_seconds = time.perf_counter() - started
         return self.result

@@ -18,16 +18,17 @@ columnar substrate:
   traffic matrix (cadence, flow counts, pattern, schedule and flow-id
   watermark) on the twin's engine and substream, so a twin window is
   offered by the live driver's own code;
-* an optional :meth:`~dcrobot.topology.smi.SmiTracker.fork` aggregate
-  snapshot makes predicted-SMI queries O(1) inside the twin.
+* an optional live :class:`~dcrobot.topology.smi.SmiTracker` answers
+  predicted-SMI queries: SMI is structural and a twin changes link
+  state and health only, so its SMI is the live world's.
 
 A forked state's bound view objects (``Link`` etc.) still belong to
 the live world, so the twin is mutated **column-wise only** through
 the vocabulary here (:meth:`set_link_state`, :meth:`drain`,
-:meth:`repair_link`, :meth:`replace_transceiver`, ...), never through
-object setters.  :meth:`TwinWorld.wrap` builds the same vocabulary
-around an ordinary (e.g. deep-copied) world, which is what lets the
-property suite prove fork-vs-deepcopy bit-identity with one code path.
+:meth:`repair_link`, ...), never through object setters.
+:meth:`TwinWorld.wrap` builds the same vocabulary around an ordinary
+(e.g. deep-copied) world, which is what lets the property suite prove
+fork-vs-deepcopy bit-identity with one code path.
 """
 
 from __future__ import annotations
@@ -80,8 +81,7 @@ class TwinWorld:
         #: twin's engine and substream (defaults without one).
         self.driver = (driver.fork(traffic, rng) if driver is not None
                        else TrafficDriver(traffic, rng=rng))
-        #: Detached SMI aggregates (``SmiTracker.fork()``), advanced by
-        #: the replace vocabulary below.
+        #: The live world's SMI memo (see :meth:`predicted_smi`).
         self.smi_tracker = smi
 
     # -- constructors ---------------------------------------------------------
@@ -104,9 +104,8 @@ class TwinWorld:
         twin_rng = rng if rng is not None else np.random.default_rng(0)
         twin_traffic = (traffic.fork(twin_fabric, rng=twin_rng)
                         if traffic is not None else None)
-        smi = smi_tracker.fork() if smi_tracker is not None else None
         return cls(twin_fabric, fs_child, twin_traffic, twin_rng,
-                   now=now, driver=driver, smi=smi)
+                   now=now, driver=driver, smi=smi_tracker)
 
     @classmethod
     def wrap(cls, fabric, traffic: Optional[TrafficState] = None,
@@ -182,48 +181,6 @@ class TwinWorld:
         self.set_link_state(link_id, LinkState.UP, now=now)
         self.undrain(link_id)
 
-    def replace_transceiver(self, link_id: str, side: str,
-                            model_id: Optional[str] = None) -> None:
-        """Simulate a unit swap: fresh per-side physics, new model.
-
-        Columns reset like ``FabricState.rebind_transceiver``; the SMI
-        uniformity aggregate moves from the live unit's model to
-        ``model_id`` (omit it for a like-for-like spare).
-        """
-        row = self._row(link_id)
-        side_index = 0 if side == "a" else 1
-        fs = self.state
-        fs.ox[side_index, row] = 0.0
-        fs.seated[side_index, row] = True
-        fs.unit_hw_fault[side_index, row] = False
-        fs.unit_fw_stuck[side_index, row] = False
-        fs.recept_worst[side_index, row] = 0.0
-        fs.input_writes += 1
-        if self.smi_tracker is not None and model_id is not None:
-            link = self.state.links_by_row[row]
-            old_model = link.transceiver_at(side).model.model_id
-            self.smi_tracker.apply_transceiver_swap(old_model,
-                                                    model_id)
-
-    def replace_cable(self, link_id: str,
-                      cleanable: Optional[bool] = None) -> None:
-        """Simulate a cable swap: fresh end faces, new separability."""
-        row = self._row(link_id)
-        fs = self.state
-        fs.cable_damaged[row] = False
-        fs.cable_end_worst[:, row] = 0.0
-        fs.cable_end_cores[..., row] = 0.0
-        fs.cable_end_scratched[:, row] = False
-        fs.cable_attached[:, row] = True
-        fs.input_writes += 1
-        if self.smi_tracker is not None and cleanable is not None:
-            old_cleanable = bool(fs.cleanable[row])
-            fs.cleanable[row] = bool(cleanable)
-            self.smi_tracker.apply_cable_swap(old_cleanable,
-                                              bool(cleanable))
-        elif cleanable is not None:
-            fs.cleanable[row] = bool(cleanable)
-
     # -- rolling the twin forward ---------------------------------------------
 
     def offer_window(self) -> WindowResult:
@@ -240,7 +197,8 @@ class TwinWorld:
     # -- predictions ----------------------------------------------------------
 
     def predicted_smi(self) -> float:
-        """The twin's SMI from the forked aggregates."""
+        """The twin's SMI: the live world's, since no twin mutation
+        changes the fabric's structure."""
         if self.smi_tracker is None:
             raise RuntimeError("twin was forked without an SmiTracker")
         return self.smi_tracker.report().smi

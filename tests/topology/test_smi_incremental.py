@@ -1,19 +1,19 @@
-"""Incremental SMI vs full rescan: randomized-op parity battery.
+"""The served SMI vs a fresh rescan: randomized-op invalidation battery.
 
-:class:`SmiTracker` maintains the five SMI factor aggregates from
-generation-keyed structural deltas — O(changed links) per event —
-while :func:`compute_smi` rescans the whole fabric.  These tests
-drive randomized sequences of every structural mutation the fabric
-supports and require the two answers to agree to 1e-12 on *every*
-factor after *every* op.  ``compute_smi`` is the oracle; the tracker
-is the fast path.
+:class:`SmiTracker` memoizes :func:`compute_smi` on the fabric's
+structure key (``FabricState.generation`` plus
+``BundleRegistry.membership``).  These tests drive randomized
+sequences of every structural mutation the fabric supports and
+require the served report to equal a fresh rescan, on the index and
+every factor, after *every* op: a mutation that moved SMI without
+moving the key would serve a stale report and fail here.
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dcrobot.topology.smi as smi_module
 from dcrobot.network import (
     Fabric,
     HallLayout,
@@ -59,13 +59,12 @@ def make_topology(seed=3, pairs=3, links_per_pair=4,
 
 
 def assert_parity(tracker, topology, context=""):
-    incremental = tracker.report()
+    served = tracker.report()
     oracle = compute_smi(topology)
     for factor in FACTORS:
-        assert incremental.factors[factor] == pytest.approx(
-            oracle.factors[factor], abs=1e-12), (factor, context)
-    assert incremental.smi == pytest.approx(oracle.smi, abs=1e-12), \
-        context
+        assert served.factors[factor] == oracle.factors[factor], \
+            (factor, context)
+    assert served.smi == oracle.smi, context
 
 
 # -- one op at a time ---------------------------------------------------------
@@ -75,7 +74,6 @@ def test_initial_report_matches_oracle():
     topology, _ = make_topology()
     tracker = SmiTracker(topology)
     assert_parity(tracker, topology)
-    tracker.close()
 
 
 def test_state_flips_do_not_move_smi():
@@ -88,7 +86,6 @@ def test_state_flips_do_not_move_smi():
     link.set_state(3.0, LinkState.MAINTENANCE)
     assert tracker.report().factors == before.factors
     assert_parity(tracker, topology, "after state flips")
-    tracker.close()
 
 
 def test_connect_and_disconnect_track():
@@ -98,7 +95,6 @@ def test_connect_and_disconnect_track():
     assert_parity(tracker, topology, "after connect")
     topology.fabric.disconnect(link.id)
     assert_parity(tracker, topology, "after disconnect")
-    tracker.close()
 
 
 def test_transceiver_replace_tracks():
@@ -113,7 +109,6 @@ def test_transceiver_replace_tracks():
             link.replace_transceiver(side, new_unit)
             assert_parity(tracker, topology,
                           f"swap {link.id}:{side}")
-    tracker.close()
 
 
 def test_cable_replace_and_rebundle_track():
@@ -129,7 +124,6 @@ def test_cable_replace_and_rebundle_track():
     assert_parity(tracker, topology, "after cable swap (unbundled)")
     fabric.rebundle(old_cable.id, new_cable.id, *link.endpoint_ids)
     assert_parity(tracker, topology, "after rebundle")
-    tracker.close()
 
 
 def test_raw_bundle_assign_unassign_track():
@@ -143,32 +137,47 @@ def test_raw_bundle_assign_unassign_track():
     assert_parity(tracker, topology, "after unassign")
     fabric.bundles.assign(cable.id, donor_bundle.id)
     assert_parity(tracker, topology, "after cross-assign")
-    tracker.close()
 
 
-def test_fork_is_detached_from_live_mutations():
+def test_reads_rescan_once_per_structural_change(monkeypatch):
+    """Counted, not timed: reads between structural changes are memo
+    hits, and each structural change costs exactly one rescan."""
     topology, _ = make_topology()
     fabric = topology.fabric
+    rescans = []
+    rescan = smi_module.compute_smi
+
+    def counted(topo):
+        rescans.append(topo)
+        return rescan(topo)
+
+    monkeypatch.setattr(smi_module, "compute_smi", counted)
     tracker = SmiTracker(topology)
-    fork = tracker.fork()
-    baseline = fork.report()
     link = next(iter(fabric.links.values()))
+    for step in range(100):
+        tracker.report()
+        link.set_state(float(step + 1),
+                       LinkState.DOWN if step % 2 else LinkState.UP)
+    assert len(rescans) == 1
+
     old_unit = link.transceiver_at("a")
     link.replace_transceiver("a", fabric.new_transceiver(
         old_unit.model.form_factor, optical=old_unit.optical))
-    # live tracker follows; the fork holds the fork-time answer
-    assert_parity(tracker, topology, "live after swap")
-    assert fork.report().factors == baseline.factors
-    tracker.close()
+    tracker.report()
+    tracker.report()
+    assert len(rescans) == 2
 
+    link.replace_cable(fabric.new_cable(link.cable.kind,
+                                        link.cable.length_m,
+                                        link.capacity_gbps))
+    tracker.report()
+    tracker.report()
+    assert len(rescans) == 3
 
-def test_close_stops_tracking():
-    topology, switches = make_topology()
-    tracker = SmiTracker(topology)
-    frozen = tracker.report()
-    tracker.close()
-    topology.fabric.connect(switches[0].id, switches[3].id)
-    assert tracker.report().factors == frozen.factors
+    fabric.bundles.unassign(list(fabric.links.values())[-1].cable.id)
+    tracker.report()
+    tracker.report()
+    assert len(rescans) == 4
 
 
 # -- randomized sequences -----------------------------------------------------
@@ -226,4 +235,3 @@ def test_randomized_op_sequences_stay_in_parity(seed, sequence):
                     and link.cable is not donor.cable:
                 fabric.bundles.assign(link.cable.id, donor_bundle.id)
         assert_parity(tracker, topology, f"step {step}: {kind}")
-    tracker.close()

@@ -67,7 +67,6 @@ def test_a_dropped_fork_is_freed_by_reference_counting():
     link.set_state(1.0, LinkState.DOWN)
     assert not link.operational
     assert fabric.state.loss_rate[link._row] == 0.0
-    tracker.close()
 
 
 # -- mutation vocabulary ------------------------------------------------------
@@ -106,50 +105,6 @@ def test_repair_link_restores_health_columns():
     assert not traffic.drained_links
 
 
-def test_replace_transceiver_moves_smi_uniformity():
-    topology, _ = make_world(traffic=False)
-    tracker = SmiTracker(topology)
-    live_before = tracker.report()
-    link = next(iter(topology.fabric.links.values()))
-    new_model = topology.fabric.model_catalog[0].model_id
-    old_model = link.transceiver_at("a").model.model_id
-    twin = TwinWorld.fork(topology.fabric, smi_tracker=tracker)
-    twin.replace_transceiver(link.id, "a", model_id=new_model)
-    predicted = twin.smi_tracker.report()
-    # the live tracker is untouched by the twin's swap
-    assert tracker.report().factors == live_before.factors
-    if new_model != old_model:
-        assert predicted.factors["uniformity"] != \
-            live_before.factors["uniformity"]
-    # the prediction matches actually doing the swap
-    unit = topology.fabric.new_transceiver(
-        link.transceiver_at("a").model.form_factor, optical=True)
-    unit.model = next(model for model in topology.fabric.model_catalog
-                      if model.model_id == new_model)
-    link.replace_transceiver("a", unit)
-    realized = compute_smi(topology)
-    assert predicted.factors["uniformity"] == pytest.approx(
-        realized.factors["uniformity"], abs=1e-12)
-    tracker.close()
-
-
-def test_replace_cable_moves_smi_serviceability():
-    topology, _ = make_world(traffic=False)
-    tracker = SmiTracker(topology)
-    link = next(iter(topology.fabric.links.values()))
-    target = not bool(link.cable.cleanable)
-    twin = TwinWorld.fork(topology.fabric, smi_tracker=tracker)
-    before = twin.smi_tracker.report().factors["serviceability"]
-    twin.replace_cable(link.id, cleanable=target)
-    after = twin.smi_tracker.report().factors["serviceability"]
-    n = len(topology.fabric.links)
-    assert after - before == pytest.approx(
-        (1 if target else -1) / n, abs=1e-12)
-    assert tracker.report().factors["serviceability"] \
-        == pytest.approx(before, abs=1e-12)
-    tracker.close()
-
-
 # -- rolling and predictions --------------------------------------------------
 
 
@@ -158,6 +113,18 @@ def test_offer_window_without_traffic_raises():
     twin = TwinWorld.fork(topology.fabric)
     with pytest.raises(RuntimeError, match="no traffic"):
         twin.offer_window()
+
+
+def test_predicted_smi_is_the_live_smi():
+    """A twin changes link state and health, never structure, so its
+    predicted SMI is the live fabric's, bit for bit."""
+    topology, traffic = make_world()
+    twin = TwinWorld.fork(topology.fabric, traffic,
+                          smi_tracker=SmiTracker(topology))
+    link_id = next(iter(topology.fabric.links))
+    twin.begin_maintenance(link_id, now=1.0)
+    twin.repair_link(link_id, now=2.0)
+    assert twin.predicted_smi() == compute_smi(topology).smi
 
 
 def test_predicted_smi_without_tracker_raises():

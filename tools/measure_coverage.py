@@ -43,6 +43,7 @@ TARGETS = ("src/dcrobot/core", "src/dcrobot/chaos",
            "src/dcrobot/network/inventory.py",
            "src/dcrobot/topology/base.py",
            "src/dcrobot/topology/jellyfish.py",
+           "src/dcrobot/topology/smi.py",
            "src/dcrobot/telemetry/detectors.py",
            "src/dcrobot/telemetry/monitor.py",
            "src/dcrobot/telemetry/localization.py",
